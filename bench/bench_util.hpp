@@ -9,6 +9,7 @@
 #include <functional>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -66,12 +67,16 @@ private:
     std::vector<std::pair<std::string, std::string>> fields_;
 };
 
-/// Print the canonical machine-readable line for one bench result.
+/// Print the canonical machine-readable line for one bench result.  Every
+/// line carries the host's hardware-thread count, so a scaling figure can
+/// be read against the cores it ran on.
 inline void emit_bench_json(const std::string& bench_name,
                             const json_record& record,
                             std::ostream& os = std::cout) {
     json_record line;
     line.add("bench", bench_name);
+    line.add("hw_threads",
+             std::size_t{std::thread::hardware_concurrency()});
     line.merge(record);
     os << "BENCH_JSON " << line.str() << "\n";
 }

@@ -8,6 +8,10 @@
 //    behind every BP-TIADC capture against the two-Bessel-series-per-tap
 //    reference.
 //
+//  * DDC — digital_downconvert at the catalogue's widest shape (the
+//    dqpsk-1M reconstruction: 155,031 dense samples, 6,745 taps, D = 131),
+//    reported as ns per input sample.
+//
 //  * SIMD backend primitives — every compiled-in, CPU-supported kernel
 //    backend (scalar/AVX2/NEON) timed on the primitive shapes the hot
 //    paths dispatch to, reported as speedup vs the scalar backend.
@@ -29,6 +33,7 @@
 #include "core/simd/kernel_backend.hpp"
 #include "core/stats.hpp"
 #include "core/units.hpp"
+#include "dsp/ddc.hpp"
 #include "dsp/interpolator.hpp"
 #include "rf/passband.hpp"
 #include "sampling/band.hpp"
@@ -174,6 +179,49 @@ void bench_sinc_capture(std::size_t n_points, int reps) {
     std::cout << "sinc capture: " << 1e9 * s_ref / n_points << " -> "
               << 1e9 * s_fast / n_points << " ns/point  (x"
               << s_ref / s_fast << ", max rel err " << err << ")\n";
+}
+
+/// DDC bench at the catalogue's widest shape: the dqpsk-1M preset's
+/// envelope reconstruction (380 MHz carrier on a 1.955 GHz dense grid,
+/// 6.21 MHz cutoff, decimation 131, auto-sized 6,745-tap FIR).
+void bench_ddc(int reps) {
+    const double fs = 1.955 * GHz;
+    const double fc = 380.0 * MHz;
+    const std::size_t n_in = 155031;
+    rng gen(0xDDC);
+    std::vector<double> x(n_in);
+    for (std::size_t i = 0; i < n_in; ++i) {
+        const double t = static_cast<double>(i) / fs;
+        x[i] = std::cos(two_pi * (fc + 0.3 * MHz) * t + 0.7) +
+               0.5 * std::cos(two_pi * (fc - 0.45 * MHz) * t) +
+               gen.gaussian(0.0, 0.01);
+    }
+    dsp::ddc_options opt;
+    opt.carrier_hz = fc;
+    opt.sample_rate = fs;
+    opt.decimation = 131;
+    opt.cutoff_hz = 6.21 * MHz;
+    opt.fir_taps = 6745; // what the auto-sizing picks for this shape
+
+    std::vector<std::complex<double>> env;
+    const double s_ddc =
+        best_seconds([&] { env = dsp::digital_downconvert(x, opt); }, reps);
+
+    benchutil::json_record rec;
+    rec.add("kernel", std::string("ddc"));
+    rec.add("in_samples", n_in);
+    rec.add("out_samples", env.size());
+    rec.add("taps", opt.fir_taps);
+    rec.add("decimation", opt.decimation);
+    rec.add("ms", 1e3 * s_ddc);
+    rec.add("ns_per_input_sample", 1e9 * s_ddc / static_cast<double>(n_in));
+    benchutil::emit_bench_json("perf_hotpath", rec);
+
+    std::cout << "ddc: " << 1e3 * s_ddc << " ms, "
+              << 1e9 * s_ddc / static_cast<double>(n_in)
+              << " ns/input sample (" << n_in << " -> " << env.size()
+              << ", " << opt.fir_taps << " taps, D=" << opt.decimation
+              << ")\n";
 }
 
 /// Per-backend primitive bench: every CPU-supported backend timed on the
@@ -346,6 +394,7 @@ int main(int argc, char** argv) {
     const int reps = quick ? 3 : 5;
     bench_pnbs_uniform(n_points, reps);
     bench_sinc_capture(n_points, reps);
+    bench_ddc(reps);
     bench_backend_kernels(reps);
     return 0;
 }

@@ -1,6 +1,6 @@
 /// \file ddc.hpp
 /// \brief Digital downconversion of a real passband sequence to a complex
-///        baseband envelope (mix, lowpass, decimate).
+///        baseband envelope (mix, then lowpass at the decimated outputs).
 ///
 /// After PNBS reconstruction the BIST evaluates the spectrum *around the
 /// carrier*; the DDC recentres the reconstructed RF waveform at 0 Hz so the
@@ -27,7 +27,7 @@ struct ddc_options {
     double stopband_db = 70.0;   ///< auto-design stopband attenuation
 };
 
-/// Mix x(t) with exp(-j·2π·fc·t), lowpass filter and decimate.
+/// Mix x(t) with exp(-j·2π·fc·t), lowpass filter at the decimated outputs.
 /// Returns the complex envelope at rate sample_rate / decimation.
 /// The group delay of the anti-alias FIR is compensated (output sample m
 /// corresponds to input time m·decimation/fs).

@@ -1,6 +1,7 @@
 /// \file fir.hpp
-/// \brief FIR filter design (windowed sinc) and filtering, including the
-///        rational-rate `upfirdn` used by the pulse shaper and the DDC.
+/// \brief FIR filter design (windowed sinc) and filtering: the rational-rate
+///        `upfirdn` used by the pulse shaper and the decimating FIR of the
+///        DDC.
 #pragma once
 
 #include <complex>
@@ -31,15 +32,14 @@ std::vector<double> design_bandpass_fir(std::size_t taps, double f1, double f2,
 std::vector<double> convolve(std::span<const double> a,
                              std::span<const double> b);
 
-/// "Same-size" filtering that compensates the FIR group delay: returns
-/// y[n] = (h * x)[n + (taps-1)/2], length x.size().  Odd-length h only.
-std::vector<double> filter_same(std::span<const double> h,
-                                std::span<const double> x);
-
-/// Complex-input variant of filter_same (same real coefficients).
+/// Group-delay compensated FIR (real coefficients, complex input) evaluated
+/// only at every D-th output: returns y[m] = (h * x)[m·D + (taps-1)/2],
+/// length ceil(x.size() / D).  D = 1 is "same-size" filtering.  Odd-length
+/// h only; decimation >= 1.
 std::vector<std::complex<double>>
-filter_same(std::span<const double> h,
-            std::span<const std::complex<double>> x);
+filter_decimate(std::span<const double> h,
+                std::span<const std::complex<double>> x,
+                std::size_t decimation);
 
 /// Polyphase-style upsample-filter-downsample:
 /// insert (up-1) zeros between samples, filter with h, keep every down-th.

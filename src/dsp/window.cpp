@@ -1,6 +1,9 @@
 #include "dsp/window.hpp"
 
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "core/contracts.hpp"
 #include "core/math_util.hpp"
@@ -79,6 +82,21 @@ kaiser_lut::kaiser_lut(double beta, std::size_t resolution) : beta_(beta) {
         lut_[i] = bessel_i0(beta * std::sqrt(std::max(0.0, 1.0 - u * u))) *
                   inv_i0b;
     }
+}
+
+std::shared_ptr<const kaiser_lut> kaiser_lut::shared(double beta,
+                                                     std::size_t resolution) {
+    // Checked before the lookup: a NaN key would break the map's ordering.
+    SDRBIST_EXPECTS(beta >= 0.0);
+    static std::mutex mutex;
+    static std::map<std::pair<double, std::size_t>,
+                    std::shared_ptr<const kaiser_lut>>
+        tables;
+    const std::lock_guard lock(mutex);
+    auto& table = tables[{beta, resolution}];
+    if (!table)
+        table = std::make_shared<const kaiser_lut>(beta, resolution);
+    return table;
 }
 
 double window_sum(const std::vector<double>& w) {

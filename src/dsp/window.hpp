@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -47,11 +48,19 @@ double kaiser_window_at(double u, double beta);
 ///
 /// Shared by the PNBS reconstructor and the hardware-mapped
 /// reconstructor's table builder so both see identical window values.
+/// Both take their table from shared(), so a table is built once per
+/// (beta, resolution) per process rather than once per reconstructor.
 /// (The windowed-sinc interpolator bakes exact window values into its own
 /// polyphase coefficient table instead.)
 class kaiser_lut {
 public:
     explicit kaiser_lut(double beta, std::size_t resolution = 2048);
+
+    /// Process-wide immutable table for (beta, resolution): built on the
+    /// first request, then handed to every later caller (thread-safe).
+    /// Its values are bit-identical to a directly constructed table's.
+    [[nodiscard]] static std::shared_ptr<const kaiser_lut>
+    shared(double beta, std::size_t resolution = 2048);
 
     /// Window value at normalised position u (any sign); 0 for |u| >= 1.
     [[nodiscard]] double operator()(double u) const {

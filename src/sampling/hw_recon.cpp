@@ -63,7 +63,8 @@ void hw_pnbs_reconstructor::build_tables() {
     // Shared continuous-window LUT (same table the software reconstructor
     // evaluates through), so both reconstructors see identical window
     // values and the Bessel series runs once per LUT node, not per cell.
-    const dsp::kaiser_lut window(opt_.kaiser_beta);
+    const auto window_table = dsp::kaiser_lut::shared(opt_.kaiser_beta);
+    const dsp::kaiser_lut& window = *window_table;
 
     auto alloc = [&] {
         return std::vector<std::vector<double>>(rows,

@@ -128,14 +128,16 @@ double kohlenberg_kernel::required_delay_accuracy(const band_spec& band,
 
 // ---- reconstructor ----------------------------------------------------------
 
-pnbs_reconstructor::pnbs_reconstructor(std::vector<double> even,
-                                       std::vector<double> odd, double period,
-                                       double t_start, const band_spec& band,
-                                       double delay_hypothesis,
-                                       const pnbs_options& opt)
+pnbs_reconstructor::pnbs_reconstructor(
+    std::vector<double> even, std::vector<double> odd, double period,
+    double t_start, const band_spec& band, double delay_hypothesis,
+    const pnbs_options& opt, std::shared_ptr<const dsp::kaiser_lut> window)
     : even_(std::move(even)), odd_(std::move(odd)), period_(period),
       t_start_(t_start), kernel_(band, delay_hypothesis), opt_(opt),
-      window_(opt.kaiser_beta), ops_(&simd::kernel_backend::select()) {
+      window_(window ? std::move(window)
+                     : dsp::kaiser_lut::shared(opt.kaiser_beta)),
+      ops_(&simd::kernel_backend::select()) {
+    SDRBIST_EXPECTS(window_->beta() == opt_.kaiser_beta);
     SDRBIST_EXPECTS(period_ > 0.0);
     SDRBIST_EXPECTS(even_.size() == odd_.size());
     SDRBIST_EXPECTS(opt_.taps >= 5 && opt_.taps % 2 == 1);
@@ -219,12 +221,13 @@ double pnbs_reconstructor::value(double t) const {
     double* ce = ce_buf.data();
     double* co = co_buf.data();
 
+    const dsp::kaiser_lut& window = *window_;
     const double inv_span = 1.0 / half_span_;
     for (std::size_t i = 0; i < count; ++i) {
         const double fj =
             frac - static_cast<double>(j_lo + static_cast<long>(i));
-        const double w_e = window_(fj * inv_span);
-        const double w_o = window_((fj - d_frac_) * inv_span);
+        const double w_e = window(fj * inv_span);
+        const double w_o = window((fj - d_frac_) * inv_span);
 
         const double th0e = del0_ * fj;        // π·f0·τ_even
         const double th1e = del1_ * fj;
@@ -270,7 +273,7 @@ double pnbs_reconstructor::value(double t) const {
             const double sgn_kp = (kp_odd && (j_e & 1L) != 0) ? -1.0 : 1.0;
             const double snc0 = s0_zero ? 0.0 : sinc(kernel_.f0() * tau);
             const double snc1 = sinc(kernel_.f1() * tau);
-            ce[i] = window_(fj * inv_span) *
+            ce[i] = window(fj * inv_span) *
                     (s0e * sgn_k * snc0 + s1e * sgn_kp * snc1);
         }
         const long j_o = std::llround(frac - d_frac_); // odd-stream crossing
@@ -282,7 +285,7 @@ double pnbs_reconstructor::value(double t) const {
             const double sgn_kp = (kp_odd && (j_o & 1L) != 0) ? -1.0 : 1.0;
             const double snc0 = s0_zero ? 0.0 : sinc(kernel_.f0() * tau);
             const double snc1 = sinc(kernel_.f1() * tau);
-            co[i] = window_((fj - d_frac_) * inv_span) *
+            co[i] = window((fj - d_frac_) * inv_span) *
                     (s0o * sgn_k * snc0 + s1o * sgn_kp * snc1);
         }
     }

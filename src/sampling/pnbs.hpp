@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -126,9 +127,12 @@ public:
     /// \param band     assumed signal band (defines the kernel)
     /// \param delay_hypothesis D̂ used for reconstruction
     /// \param opt      taps / window
+    /// \param window   Kaiser LUT for opt.kaiser_beta; null = the
+    ///                 process-wide dsp::kaiser_lut::shared() table
     pnbs_reconstructor(std::vector<double> even, std::vector<double> odd,
                        double period, double t_start, const band_spec& band,
-                       double delay_hypothesis, const pnbs_options& opt = {});
+                       double delay_hypothesis, const pnbs_options& opt = {},
+                       std::shared_ptr<const dsp::kaiser_lut> window = nullptr);
 
     /// Reconstructed value at absolute time t (fused fast path).
     [[nodiscard]] double value(double t) const;
@@ -158,6 +162,7 @@ public:
 
     [[nodiscard]] const kohlenberg_kernel& kernel() const { return kernel_; }
     [[nodiscard]] double period() const { return period_; }
+    [[nodiscard]] const dsp::kaiser_lut& window() const { return *window_; }
 
     /// SIMD kernel backend running the stage-2 dot products (captured from
     /// simd::kernel_backend::select() at construction).
@@ -170,7 +175,7 @@ private:
     double t_start_;
     kohlenberg_kernel kernel_;
     pnbs_options opt_;
-    dsp::kaiser_lut window_; ///< shared continuous Kaiser window LUT
+    std::shared_ptr<const dsp::kaiser_lut> window_; ///< Kaiser window LUT
     const simd::kernel_ops* ops_;
 
     // Fused fast-path constants (derived from the kernel in the ctor).
@@ -186,7 +191,7 @@ private:
     double cd0_ = 1.0, sd0_ = 0.0; ///< cos/sin of del0 (rotation recurrence)
     double cd1_ = 1.0, sd1_ = 0.0; ///< cos/sin of del1
 
-    [[nodiscard]] double window_at(double u) const { return window_(u); }
+    [[nodiscard]] double window_at(double u) const { return (*window_)(u); }
 };
 
 } // namespace sdrbist::sampling

@@ -77,6 +77,24 @@ TEST(Windows, ContinuousKaiserMatchesDiscrete) {
     EXPECT_DOUBLE_EQ(kaiser_window_at(-2.0, beta), 0.0);
 }
 
+TEST(Windows, SharedKaiserLutIsOnePerBetaAndResolution) {
+    const auto a = kaiser_lut::shared(8.0);
+    const auto b = kaiser_lut::shared(8.0);
+    EXPECT_EQ(a.get(), b.get());
+    EXPECT_NE(a.get(), kaiser_lut::shared(8.6).get());
+    EXPECT_NE(a.get(), kaiser_lut::shared(8.0, 1024).get());
+    EXPECT_EQ(kaiser_lut::shared(8.0, 1024)->resolution(), 1024u);
+    // The shared table holds exactly what a directly built one does.
+    const kaiser_lut own(8.0);
+    for (int i = -1100; i <= 1100; ++i) {
+        const double u = static_cast<double>(i) / 1000.0 + 1e-4;
+        EXPECT_EQ((*a)(u), own(u)) << "u=" << u;
+    }
+    EXPECT_THROW((void)kaiser_lut::shared(-1.0), sdrbist::contract_violation);
+    EXPECT_THROW((void)kaiser_lut::shared(std::nan("")),
+                 sdrbist::contract_violation);
+}
+
 TEST(Windows, SumsAndPower) {
     const auto w = make_window(window_kind::hann, 64);
     EXPECT_NEAR(window_sum(w), 31.5, 0.2);      // ~N/2 for Hann

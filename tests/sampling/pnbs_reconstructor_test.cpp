@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "core/contracts.hpp"
 #include "core/random.hpp"
@@ -190,6 +191,46 @@ TEST(PnbsReconstructor, ValidSpanIsInsideRecord) {
     EXPECT_GT(recon.valid_begin(), 1.0 * us);
     EXPECT_LT(recon.valid_end(), 1.0 * us + 200.0 * t_period);
     EXPECT_LT(recon.valid_begin(), recon.valid_end());
+}
+
+TEST(PnbsReconstructor, EqualBetaSharesOneKaiserTable) {
+    const band_spec band = band_around(1.0 * GHz, 90.0 * MHz);
+    const double t_period = 1.0 / band.bandwidth();
+    const double d = 180.0 * ps;
+    const std::size_t n = 300;
+    rng gen(11);
+    const auto sig = random_multitone(gen, band, 4,
+                                      static_cast<double>(n) * t_period);
+    const auto streams = sample_streams(sig, 0.0, t_period, d, n);
+    const pnbs_options opt{61, 7.5};
+
+    const pnbs_reconstructor a(streams.even, streams.odd, t_period, 0.0, band,
+                               d, opt);
+    const pnbs_reconstructor b(streams.even, streams.odd, t_period, 0.0, band,
+                               d, opt);
+    const pnbs_reconstructor owner(
+        streams.even, streams.odd, t_period, 0.0, band, d, opt,
+        std::make_shared<const dsp::kaiser_lut>(opt.kaiser_beta));
+    EXPECT_EQ(&a.window(), &b.window());
+    EXPECT_NE(&a.window(), &owner.window());
+
+    std::vector<double> t(257);
+    for (std::size_t i = 0; i < t.size(); ++i)
+        t[i] = gen.uniform(a.valid_begin(), a.valid_end());
+    const auto va = a.values(t);
+    const auto vb = b.values(t);
+    const auto vo = owner.values(t);
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        EXPECT_EQ(va[i], vo[i]) << i;
+        EXPECT_EQ(vb[i], vo[i]) << i;
+    }
+
+    // A table built for another beta is refused.
+    EXPECT_THROW(pnbs_reconstructor(streams.even, streams.odd, t_period, 0.0,
+                                    band, d, opt,
+                                    std::make_shared<const dsp::kaiser_lut>(
+                                        opt.kaiser_beta + 1.0)),
+                 contract_violation);
 }
 
 TEST(PnbsReconstructor, RejectsMismatchedPeriodAndBand) {
