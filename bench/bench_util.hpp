@@ -15,6 +15,7 @@
 
 #include "bist/engine.hpp"
 #include "campaign/export.hpp"
+#include "core/build_info.hpp"
 #include "core/stats.hpp"
 #include "core/units.hpp"
 
@@ -68,8 +69,9 @@ private:
 };
 
 /// Print the canonical machine-readable line for one bench result.  Every
-/// line carries the host's hardware-thread count, so a scaling figure can
-/// be read against the cores it ran on.
+/// line carries the host's hardware-thread count, the compiler and the
+/// build type, so a figure can be read against the cores and the build it
+/// ran on.
 inline void emit_bench_json(const std::string& bench_name,
                             const json_record& record,
                             std::ostream& os = std::cout) {
@@ -77,6 +79,9 @@ inline void emit_bench_json(const std::string& bench_name,
     line.add("bench", bench_name);
     line.add("hw_threads",
              std::size_t{std::thread::hardware_concurrency()});
+    for (const auto& [key, value] : build_info_fields())
+        if (key == "compiler" || key == "build_type")
+            line.add(key, value);
     line.merge(record);
     os << "BENCH_JSON " << line.str() << "\n";
 }

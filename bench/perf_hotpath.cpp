@@ -12,14 +12,9 @@
 //    dqpsk-1M reconstruction: 155,031 dense samples, 6,745 taps, D = 131),
 //    reported as ns per input sample.
 //
-//  * SIMD backend primitives — every compiled-in, CPU-supported kernel
-//    backend (scalar/AVX2/NEON) timed on the primitive shapes the hot
-//    paths dispatch to, reported as speedup vs the scalar backend.
-//
 // Emits one BENCH_JSON line per kernel with ns/point for both paths, the
 // speedup, and the max relative error of the fast path (normalised to the
-// reference RMS), plus one BENCH_JSON line per backend with the per-kernel
-// speedups.  Run with --quick for CI smoke timing.
+// reference RMS).  Run with --quick for CI smoke timing.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -30,7 +25,6 @@
 
 #include "bench_util.hpp"
 #include "core/random.hpp"
-#include "core/simd/kernel_backend.hpp"
 #include "core/stats.hpp"
 #include "core/units.hpp"
 #include "dsp/ddc.hpp"
@@ -103,7 +97,6 @@ void bench_pnbs_uniform(std::size_t n_points, int reps) {
     const double err = max_rel_error(ref, fast);
     benchutil::json_record rec;
     rec.add("kernel", std::string("pnbs_uniform"));
-    rec.add("backend", std::string(simd::kernel_backend::select().name));
     rec.add("points", n_points);
     rec.add("taps", std::size_t{61});
     rec.add("ref_ns_per_point", 1e9 * s_ref / static_cast<double>(n_points));
@@ -166,7 +159,6 @@ void bench_sinc_capture(std::size_t n_points, int reps) {
 
     benchutil::json_record rec;
     rec.add("kernel", std::string("sinc_capture"));
-    rec.add("backend", std::string(simd::kernel_backend::select().name));
     rec.add("points", n_points);
     rec.add("half_taps", std::size_t{32});
     rec.add("ref_ns_per_point", 1e9 * s_ref / static_cast<double>(n_points));
@@ -224,164 +216,6 @@ void bench_ddc(int reps) {
               << ")\n";
 }
 
-/// Per-backend primitive bench: every CPU-supported backend timed on the
-/// kernel shapes the hot paths dispatch to (PNBS 61-tap dual dot, 64-tap
-/// polyphase blends, 4096-sample capture records), reported as speedup of
-/// each kernel vs the scalar backend.  One BENCH_JSON record per backend.
-void bench_backend_kernels(int reps) {
-    using simd::kernel_backend;
-    using simd::kernel_ops;
-
-    rng gen(0x51BD);
-    // PNBS stage-2 shape: the paper's 61-tap window.
-    const std::size_t n_dot = 61;
-    const auto ev = gen.uniform_vector(n_dot, -1.0, 1.0);
-    const auto ce = gen.uniform_vector(n_dot, -1.0, 1.0);
-    const auto od = gen.uniform_vector(n_dot, -1.0, 1.0);
-    const auto co = gen.uniform_vector(n_dot, -1.0, 1.0);
-    // Interpolator shape: 2·half_taps = 64 taps, 4 consecutive LUT rows.
-    const std::size_t n_blend = 64;
-    const auto rows = gen.uniform_vector(4 * n_blend, -1.0, 1.0);
-    const auto w = gen.uniform_vector(4, -1.0, 1.0);
-    const auto xr = gen.uniform_vector(n_blend, -1.0, 1.0);
-    std::vector<std::complex<double>> xc(n_blend);
-    for (auto& v : xc)
-        v = {gen.uniform(-1.0, 1.0), gen.uniform(-1.0, 1.0)};
-    // Capture-record shape.
-    const std::size_t n_rec = 4096;
-    const auto rec_in = gen.uniform_vector(n_rec, -3.0, 3.0);
-    std::vector<std::complex<double>> env(n_rec);
-    for (auto& v : env)
-        v = {gen.uniform(-1.0, 1.0), gen.uniform(-1.0, 1.0)};
-    const auto cos_wt = gen.uniform_vector(n_rec, -1.0, 1.0);
-    const auto sin_wt = gen.uniform_vector(n_rec, -1.0, 1.0);
-    std::vector<double> rec_out(n_rec);
-    simd::quantize_params qp;
-    qp.gain = 1.013;
-    qp.offset = -0.004;
-    qp.clip_lo = -2.0;
-    qp.clip_hi = 2.0 - 1e-9;
-    qp.lsb = 4.0 / 1024.0;
-
-    const int calls = 20000; // per timed sample, small-kernel loops
-    const int rec_calls = 400;
-    double sink = 0.0;
-
-    struct timing {
-        double dot2_ns = 0.0;       // per tap
-        double blend_ns = 0.0;      // per tap
-        double blend_cplx_ns = 0.0; // per tap
-        double quantize_ns = 0.0;   // per sample
-        double mix_ns = 0.0;        // per sample
-    };
-    auto time_backend = [&](const kernel_ops& ops) {
-        timing t;
-        t.dot2_ns = 1e9 *
-                    best_seconds(
-                        [&] {
-                            double a = 0.0, b = 0.0;
-                            for (int k = 0; k < calls; ++k) {
-                                ops.dot2(ev.data(), ce.data(), od.data(),
-                                         co.data(), n_dot, &a, &b);
-                                sink += a + b;
-                            }
-                        },
-                        reps) /
-                    (static_cast<double>(calls) * static_cast<double>(n_dot));
-        t.blend_ns =
-            1e9 *
-            best_seconds(
-                [&] {
-                    for (int k = 0; k < calls; ++k)
-                        sink += ops.blend_dot(xr.data(), rows.data(), n_blend,
-                                              w.data(), n_blend);
-                },
-                reps) /
-            (static_cast<double>(calls) * static_cast<double>(n_blend));
-        t.blend_cplx_ns =
-            1e9 *
-            best_seconds(
-                [&] {
-                    for (int k = 0; k < calls; ++k)
-                        sink += ops.blend_dot_cplx(xc.data(), rows.data(),
-                                                   n_blend, w.data(), n_blend)
-                                    .real();
-                },
-                reps) /
-            (static_cast<double>(calls) * static_cast<double>(n_blend));
-        t.quantize_ns =
-            1e9 *
-            best_seconds(
-                [&] {
-                    for (int k = 0; k < rec_calls; ++k) {
-                        ops.quantize_midrise(rec_in.data(), rec_out.data(),
-                                             n_rec, 0.7, qp);
-                        sink += rec_out[k % n_rec];
-                    }
-                },
-                reps) /
-            (static_cast<double>(rec_calls) * static_cast<double>(n_rec));
-        t.mix_ns = 1e9 *
-                   best_seconds(
-                       [&] {
-                           for (int k = 0; k < rec_calls; ++k) {
-                               ops.carrier_mix(env.data(), cos_wt.data(),
-                                               sin_wt.data(), rec_out.data(),
-                                               n_rec);
-                               sink += rec_out[k % n_rec];
-                           }
-                       },
-                       reps) /
-                   (static_cast<double>(rec_calls) *
-                    static_cast<double>(n_rec));
-        return t;
-    };
-
-    const timing scalar_t = time_backend(simd::scalar_ops());
-    const char* dispatched = kernel_backend::select().name;
-    for (const auto* ops : kernel_backend::available()) {
-        const timing t = (std::strcmp(ops->name, "scalar") == 0)
-                             ? scalar_t
-                             : time_backend(*ops);
-        const double speedups[] = {
-            scalar_t.dot2_ns / t.dot2_ns,
-            scalar_t.blend_ns / t.blend_ns,
-            scalar_t.blend_cplx_ns / t.blend_cplx_ns,
-            scalar_t.quantize_ns / t.quantize_ns,
-            scalar_t.mix_ns / t.mix_ns,
-        };
-        const double best =
-            *std::max_element(std::begin(speedups), std::end(speedups));
-
-        benchutil::json_record rec;
-        rec.add("kernel", std::string("backend_kernels"));
-        rec.add("backend", std::string(ops->name));
-        rec.add("dispatched",
-                std::size_t{std::strcmp(ops->name, dispatched) == 0 ? 1u
-                                                                    : 0u});
-        rec.add("dot2_ns_per_tap", t.dot2_ns);
-        rec.add("blend_dot_ns_per_tap", t.blend_ns);
-        rec.add("blend_dot_cplx_ns_per_tap", t.blend_cplx_ns);
-        rec.add("quantize_ns_per_sample", t.quantize_ns);
-        rec.add("carrier_mix_ns_per_sample", t.mix_ns);
-        rec.add("dot2_speedup", speedups[0]);
-        rec.add("blend_dot_speedup", speedups[1]);
-        rec.add("blend_dot_cplx_speedup", speedups[2]);
-        rec.add("quantize_speedup", speedups[3]);
-        rec.add("carrier_mix_speedup", speedups[4]);
-        rec.add("best_speedup", best);
-        benchutil::emit_bench_json("perf_hotpath", rec);
-
-        std::cout << "backend " << ops->name << ": dot2 x" << speedups[0]
-                  << ", blend x" << speedups[1] << ", blend_cplx x"
-                  << speedups[2] << ", quantize x" << speedups[3]
-                  << ", mix x" << speedups[4] << "  (best x" << best
-                  << ")\n";
-    }
-    if (sink == 42.25) // defeat dead-code elimination of the timed loops
-        std::cout << "";
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
@@ -395,6 +229,5 @@ int main(int argc, char** argv) {
     bench_pnbs_uniform(n_points, reps);
     bench_sinc_capture(n_points, reps);
     bench_ddc(reps);
-    bench_backend_kernels(reps);
     return 0;
 }

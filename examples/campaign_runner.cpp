@@ -38,7 +38,6 @@
 #include "campaign/shard_io.hpp"
 #include "core/fault_injection.hpp"
 #include "core/build_info.hpp"
-#include "core/simd/kernel_backend.hpp"
 #include "core/table.hpp"
 #include "core/telemetry.hpp"
 #include "core/units.hpp"
@@ -121,9 +120,6 @@ void usage() {
         "  --seed S          campaign master seed\n"
         "  --jitter-sigma X  log-normal per-trial jitter spread\n"
         "  --dcde-sigma-ps X gaussian per-trial DCDE static-error spread\n"
-        "  --backend NAME    force the SIMD kernel backend (scalar, avx2,\n"
-        "                    neon; default: best the CPU supports, or the\n"
-        "                    SDRBIST_FORCE_BACKEND environment variable)\n"
         "  --stage-sharing S deepest pipeline stage pooled across scenarios\n"
         "                    that provably need the same result: off,\n"
         "                    stimulus, tx-capture, calibration,\n"
@@ -194,9 +190,8 @@ void usage() {
         "  --counters        print the telemetry counter and per-category\n"
         "                    span tables after the run\n"
         "  --build-info      print build provenance (compiler, build type,\n"
-        "                    SIMD backends, format versions) and exit\n"
+        "                    platform, format versions) and exit\n"
         "  --list-presets    print the preset catalogue and exit\n"
-        "  --list-backends   print the SIMD kernel backends and exit\n"
         "  --help            this text\n"
         "exit codes: 0 success, 1 artefact write failure, 2 usage error,\n"
         "            3 campaign finished but scenarios failed\n";
@@ -268,20 +263,6 @@ int list_presets() {
                        text_table::num(p.default_carrier_hz / 1e6, 1),
                        p.mask.name()});
     table.print(std::cout);
-    return 0;
-}
-
-int list_backends() {
-    const auto& active = simd::kernel_backend::select();
-    std::cout << "SIMD kernel backends (compiled in):\n";
-    for (const auto* ops : simd::kernel_backend::compiled()) {
-        std::cout << "  " << ops->name;
-        if (!simd::kernel_backend::supported(*ops))
-            std::cout << "  [not supported by this CPU]";
-        else if (ops->name == std::string_view(active.name))
-            std::cout << "  [active]";
-        std::cout << "\n";
-    }
     return 0;
 }
 
@@ -584,8 +565,6 @@ int run_cli(int argc, char** argv) {
             return 0;
         } else if (arg == "--list-presets") {
             return list_presets();
-        } else if (arg == "--list-backends") {
-            return list_backends();
         } else if (arg == "--presets") {
             preset_names = split_csv_list(value());
         } else if (arg == "--faults") {
@@ -602,10 +581,6 @@ int run_cli(int argc, char** argv) {
             cfg.perturb.jitter_rel_sigma = parse_double(arg, value());
         } else if (arg == "--dcde-sigma-ps") {
             cfg.perturb.dcde_static_sigma_s = parse_double(arg, value()) * ps;
-        } else if (arg == "--backend") {
-            // Force before any engine object captures the dispatched table;
-            // unknown/unsupported names throw (caught in main, exit 2).
-            simd::kernel_backend::force(value());
         } else if (arg == "--stage-sharing") {
             cfg.stage_sharing = parse_stage_sharing(value());
         } else if (arg == "--shard") {
@@ -681,8 +656,6 @@ int run_cli(int argc, char** argv) {
         }
     }
 
-    // After parsing, so the block reflects a --backend force on this
-    // command line.
     if (show_build_info)
         return build_info_cmd();
 
@@ -770,8 +743,7 @@ int run_cli(int argc, char** argv) {
         cfg.presets.size() * cfg.faults.size() * cfg.trials;
     std::cout << "campaign: " << cfg.presets.size() << " presets x "
               << cfg.faults.size() << " faults x " << cfg.trials
-              << " trials = " << scenario_count << " scenarios"
-              << "  [backend " << simd::kernel_backend::select().name << "]";
+              << " trials = " << scenario_count << " scenarios";
     if (cfg.shard.count > 1)
         std::cout << "  (shard " << cfg.shard.index << "/" << cfg.shard.count
                   << ")";

@@ -1,11 +1,32 @@
 #include "adc/quantizer.hpp"
 
+#include <cmath>
+
 #include "core/contracts.hpp"
 
 namespace sdrbist::adc {
 
-quantizer::quantizer(quantizer_config config)
-    : config_(config), ops_(&simd::kernel_backend::select()) {
+namespace {
+
+/// Elementwise mid-rise quantisation of a scaled record (the BP-TIADC
+/// capture path).  The multiply-add steps stay separate operations (the
+/// library is built with -ffp-contract=off), so the result is one
+/// correctly rounded sequence on every host.
+void quantize_midrise(const double* x, double* out, std::size_t n,
+                      double scale, const quantize_params& p) {
+    for (std::size_t i = 0; i < n; ++i) {
+        const double scaled = x[i] * scale;
+        const double gained = scaled * p.gain;
+        const double shifted = gained + p.offset;
+        double v = shifted < p.clip_lo ? p.clip_lo : shifted;
+        v = v > p.clip_hi ? p.clip_hi : v;
+        out[i] = p.lsb * (std::floor(v / p.lsb) + 0.5);
+    }
+}
+
+} // namespace
+
+quantizer::quantizer(quantizer_config config) : config_(config) {
     SDRBIST_EXPECTS(config_.bits >= 1 && config_.bits <= 24);
     SDRBIST_EXPECTS(config_.full_scale > 0.0);
     lsb_ = 2.0 * config_.full_scale /
@@ -21,11 +42,8 @@ quantizer::quantizer(quantizer_config config)
 }
 
 double quantizer::quantize(double x) const {
-    // The scalar table (not the dispatched one) keeps single-sample results
-    // independent of backend selection; the kernel is bit-identical across
-    // backends anyway, so process()/process_scaled() agree with this.
     double out = 0.0;
-    simd::scalar_ops().quantize_midrise(&x, &out, 1, 1.0, params_);
+    quantize_midrise(&x, &out, 1, 1.0, params_);
     return out;
 }
 
@@ -36,7 +54,7 @@ std::vector<double> quantizer::process(std::span<const double> x) const {
 std::vector<double> quantizer::process_scaled(std::span<const double> x,
                                               double scale) const {
     std::vector<double> out(x.size());
-    ops_->quantize_midrise(x.data(), out.data(), x.size(), scale, params_);
+    quantize_midrise(x.data(), out.data(), x.size(), scale, params_);
     return out;
 }
 

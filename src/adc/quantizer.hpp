@@ -5,8 +5,6 @@
 #include <span>
 #include <vector>
 
-#include "core/simd/kernel_backend.hpp"
-
 namespace sdrbist::adc {
 
 /// Quantiser parameters.  The paper's ADCs are 10-bit converters.
@@ -17,18 +15,29 @@ struct quantizer_config {
     double offset_error = 0.0;  ///< input-referred offset, volts
 };
 
+/// Precomputed parameters of the mid-rise characteristic
+///   q(x) = lsb·(floor(clamp(x·scale·gain + offset, clip_lo, clip_hi)/lsb)
+///               + 1/2)
+/// with `scale` passed per call (the front-end attenuator varies per
+/// capture while the converter's own parameters do not).
+struct quantize_params {
+    double gain = 1.0;    ///< 1 + relative gain error
+    double offset = 0.0;  ///< input-referred offset
+    double clip_lo = 0.0; ///< lower clip rail (-full_scale)
+    double clip_hi = 0.0; ///< upper clip rail (full_scale - eps)
+    double lsb = 0.0;     ///< quantisation step
+};
+
 /// Mid-rise uniform quantiser: q = LSB·(floor(x/LSB) + 1/2), clipped.
 class quantizer {
 public:
     explicit quantizer(quantizer_config config);
 
     /// Quantise one sample (applies gain and offset error first).
-    /// Evaluated through the scalar kernel table so that per-sample and
-    /// batched results stay bit-identical on every architecture.
     [[nodiscard]] double quantize(double x) const;
 
-    /// Quantise a record (SIMD batch path; bit-identical to per-sample
-    /// quantize() — the kernel is elementwise on every backend).
+    /// Quantise a record (bit-identical to per-sample quantize(): both run
+    /// the same elementwise kernel).
     [[nodiscard]] std::vector<double> process(std::span<const double> x) const;
 
     /// Quantise a record with a front-end attenuator applied first:
@@ -47,8 +56,7 @@ public:
 private:
     quantizer_config config_;
     double lsb_;
-    simd::quantize_params params_; ///< precomputed kernel parameters
-    const simd::kernel_ops* ops_;  ///< backend captured at construction
+    quantize_params params_; ///< precomputed kernel parameters
 };
 
 } // namespace sdrbist::adc

@@ -91,8 +91,8 @@ bp_tiadc::capture_divided(const rf::passband_signal& x, double t_start,
     cap.t_start = t_start;
     cap.true_delay_s = d_true;
     // Whole-record batch evaluation: one signal request per channel
-    // instead of one virtual call per instant, then one SIMD quantisation
-    // pass per record.
+    // instead of one virtual call per instant, then one quantisation pass
+    // per record.
     cap.even = quant0_.process_scaled(x.values(t0), input_scale_);
     cap.odd = quant1_.process_scaled(x.values(t1), input_scale_);
     return cap;

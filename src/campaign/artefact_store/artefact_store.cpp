@@ -73,6 +73,18 @@ std::string entry_header(bist::stage s, std::uint64_t digest,
     return h.str();
 }
 
+/// True when a header's format versions are the ones this build writes.
+/// Throws contract_violation (corrupt, not skewed) for a version that is
+/// no count at all.
+bool current_versions(const json_value& header) {
+    return header.at("store_version").as_size() ==
+               static_cast<std::size_t>(store_format_version) &&
+           header.at("codec").as_size() ==
+               static_cast<std::size_t>(byte_codec_version) &&
+           header.at("stage_canonical_version").as_size() ==
+               static_cast<std::size_t>(bist::stage_canonical_version);
+}
+
 /// Best-effort LRU touch: a hit makes the entry "recently used" for GC.
 void touch_mtime(const fs::path& path) {
     std::error_code ec;
@@ -122,16 +134,7 @@ std::string stage_artefact_store::load_raw(std::uint64_t digest,
                 SDRBIST_EXPECTS(nl != std::string::npos);
                 const json_value header =
                     parse_json(bytes.substr(0, nl));
-                const bool skewed =
-                    static_cast<int>(
-                        header.at("store_version").as_number()) !=
-                        store_format_version ||
-                    static_cast<int>(header.at("codec").as_number()) !=
-                        byte_codec_version ||
-                    static_cast<int>(
-                        header.at("stage_canonical_version").as_number()) !=
-                        bist::stage_canonical_version;
-                if (!skewed) {
+                if (current_versions(header)) {
                     // Current version: the entry must be exactly what its
                     // name claims, byte-verified.
                     SDRBIST_EXPECTS(header.at("stage").as_string() ==
@@ -139,16 +142,13 @@ std::string stage_artefact_store::load_raw(std::uint64_t digest,
                     SDRBIST_EXPECTS(header.at("digest").as_string() ==
                                     fnv1a64::hex_digest(digest));
                     const std::string payload = bytes.substr(nl + 1);
-                    SDRBIST_EXPECTS(
-                        payload.size() ==
-                        static_cast<std::size_t>(
-                            header.at("payload_bytes").as_number()));
+                    SDRBIST_EXPECTS(payload.size() ==
+                                    header.at("payload_bytes").as_size());
                     SDRBIST_EXPECTS(
                         fnv1a64::hex_digest(fnv1a64::hash(payload)) ==
                         header.at("payload_fnv").as_string());
                     std::string raw = byte_codec_decompress(
-                        payload, static_cast<std::size_t>(
-                                     header.at("raw_bytes").as_number()));
+                        payload, header.at("raw_bytes").as_size());
                     touch_mtime(path);
                     hits_.fetch_add(1, std::memory_order_relaxed);
                     telemetry::count(telemetry::counter::store_hits);
@@ -324,23 +324,19 @@ entry_class classify(const fs::path& path, int& version) {
         return entry_class::corrupt;
     try {
         const json_value header = parse_json(header_line);
-        version = static_cast<int>(header.at("store_version").as_number());
-        if (version != store_format_version ||
-            static_cast<int>(header.at("codec").as_number()) !=
-                byte_codec_version ||
-            static_cast<int>(
-                header.at("stage_canonical_version").as_number()) !=
-                bist::stage_canonical_version)
+        version = static_cast<int>(header.at("store_version").as_size());
+        if (!current_versions(header))
             return entry_class::stale;
         if (header.at("stage").as_string() != bist::to_string(named_stage) ||
             header.at("digest").as_string() !=
                 path.stem().string().substr(0, 16))
             return entry_class::corrupt;
+        // load_raw rejects a raw size that is no count; so does the scan.
+        static_cast<void>(header.at("raw_bytes").as_size());
         std::error_code ec;
         const std::uintmax_t size = fs::file_size(path, ec);
         if (ec || size != header_line.size() + 1 +
-                              static_cast<std::uintmax_t>(
-                                  header.at("payload_bytes").as_number()))
+                              header.at("payload_bytes").as_size())
             return entry_class::corrupt;
         return entry_class::entry;
     } catch (const std::exception&) {

@@ -15,10 +15,6 @@ double num_or_nan(const json_value& v) {
                        : v.as_number();
 }
 
-std::size_t size_of(const json_value& v) {
-    return static_cast<std::size_t>(v.as_number());
-}
-
 std::string double_vector_json(const std::vector<double>& values) {
     std::string out = "[";
     for (const double x : values) {
@@ -85,10 +81,10 @@ waveform::baseband_waveform waveform_from_json(const json_value& v) {
     w.sample_rate = num_or_nan(v.at("sample_rate"));
     w.symbol_rate = num_or_nan(v.at("symbol_rate"));
     w.rolloff = num_or_nan(v.at("rolloff"));
-    w.oversample = size_of(v.at("oversample"));
-    w.shaper_delay_samples = size_of(v.at("shaper_delay_samples"));
+    w.oversample = v.at("oversample").as_size();
+    w.shaper_delay_samples = v.at("shaper_delay_samples").as_size();
     w.symbols = complex_vector_from_json(v.at("symbols"));
-    w.mod = static_cast<waveform::modulation>(size_of(v.at("mod")));
+    w.mod = static_cast<waveform::modulation>(v.at("mod").as_size());
     return w;
 }
 
@@ -107,14 +103,14 @@ std::string generator_config_json(const waveform::generator_config& g) {
 
 waveform::generator_config generator_config_from_json(const json_value& v) {
     waveform::generator_config g;
-    g.mod = static_cast<waveform::modulation>(size_of(v.at("mod")));
+    g.mod = static_cast<waveform::modulation>(v.at("mod").as_size());
     g.symbol_rate = num_or_nan(v.at("symbol_rate"));
     g.rolloff = num_or_nan(v.at("rolloff"));
-    g.oversample = size_of(v.at("oversample"));
-    g.span_symbols = size_of(v.at("span_symbols"));
-    g.symbol_count = size_of(v.at("symbol_count"));
-    g.data = static_cast<waveform::prbs_order>(size_of(v.at("data")));
-    g.prbs_seed = static_cast<std::uint32_t>(size_of(v.at("prbs_seed")));
+    g.oversample = v.at("oversample").as_size();
+    g.span_symbols = v.at("span_symbols").as_size();
+    g.symbol_count = v.at("symbol_count").as_size();
+    g.data = static_cast<waveform::prbs_order>(v.at("data").as_size());
+    g.prbs_seed = static_cast<std::uint32_t>(v.at("prbs_seed").as_size());
     return g;
 }
 
@@ -168,7 +164,7 @@ passband_from_json(const json_value& v) {
     return std::make_shared<const rf::envelope_passband>(
         complex_vector_from_json(v.at("envelope")),
         num_or_nan(v.at("envelope_rate")), num_or_nan(v.at("carrier_hz")),
-        size_of(v.at("half_taps")));
+        v.at("half_taps").as_size());
 }
 
 std::string tx_output_json(const rf::tx_output& t) {
@@ -193,7 +189,7 @@ rf::tx_output tx_output_from_json(const json_value& v) {
     auto env = t.envelope;
     t.passband = std::make_shared<const rf::envelope_passband>(
         std::move(env), t.envelope_rate, t.carrier_hz,
-        size_of(v.at("passband_half_taps")));
+        v.at("passband_half_taps").as_size());
     return t;
 }
 
@@ -280,12 +276,12 @@ calib::skew_estimate skew_from_json(const json_value& v) {
     calib::skew_estimate s;
     s.d_hat = num_or_nan(v.at("d_hat"));
     s.final_cost = num_or_nan(v.at("final_cost"));
-    s.iterations = size_of(v.at("iterations"));
+    s.iterations = v.at("iterations").as_size();
     s.converged = v.at("converged").as_bool();
-    s.cost_evaluations = size_of(v.at("cost_evaluations"));
+    s.cost_evaluations = v.at("cost_evaluations").as_size();
     for (const auto& tp : v.at("trace").as_array()) {
         calib::lms_trace_point p;
-        p.iteration = size_of(tp.at("iteration"));
+        p.iteration = tp.at("iteration").as_size();
         p.d_hat = num_or_nan(tp.at("d_hat"));
         p.cost = num_or_nan(tp.at("cost"));
         p.mu = num_or_nan(tp.at("mu"));

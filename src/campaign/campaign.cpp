@@ -884,13 +884,14 @@ campaign_result campaign_runner::run(const run_hooks& hooks) const {
             // A gave-up or timed-out verdict is environment-dependent —
             // never persisted, so a rerun (or resume) re-attempts it.
             const bool deterministic = !slot.gave_up && !slot.timed_out;
+            // Hits and misses exist only where a cache was consulted.
             if (hit) {
                 hits.fetch_add(1, std::memory_order_relaxed);
                 telemetry::count(telemetry::counter::cache_hits);
-            } else {
+            } else if (cache) {
                 misses.fetch_add(1, std::memory_order_relaxed);
                 telemetry::count(telemetry::counter::cache_misses);
-                if (cache && !key.empty() && deterministic)
+                if (!key.empty() && deterministic)
                     cache->store(key, slot);
             }
             if (journal && deterministic) {

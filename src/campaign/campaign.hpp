@@ -233,6 +233,7 @@ struct campaign_result {
     std::size_t grid_size = 0;
 
     // Result-cache accounting for this run (both 0 when caching is off).
+    // Scenario-cache accounting (both 0 when `cache_dir` is empty).
     // Environment-dependent like the timing fields: a warm rerun flips
     // misses into hits, so exporters treat these as measured data.
     std::size_t cache_hits = 0;

@@ -471,6 +471,13 @@ double json_value::as_number() const {
     return std::get<double>(v_);
 }
 
+std::size_t json_value::as_size() const {
+    const double d = as_number();
+    SDRBIST_EXPECTS(d >= 0.0 && d <= 9007199254740992.0 &&
+                    d == std::floor(d));
+    return static_cast<std::size_t>(d);
+}
+
 const std::string& json_value::as_string() const {
     SDRBIST_EXPECTS(is_string());
     return std::get<std::string>(v_);

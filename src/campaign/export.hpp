@@ -172,6 +172,11 @@ public:
     [[nodiscard]] const std::string& as_string() const;
     [[nodiscard]] const array& as_array() const;
     [[nodiscard]] const object& as_object() const;
+    /// A number that is an exact count: integral, non-negative and at most
+    /// 2^53 (the largest range a double holds without gaps).  Throws
+    /// contract_violation otherwise, before any cast, so hostile input
+    /// (1e30, -1, 2.5, NaN) never reaches an undefined conversion.
+    [[nodiscard]] std::size_t as_size() const;
 
     /// Object member access; throws contract_violation when missing.
     [[nodiscard]] const json_value& at(const std::string& key) const;

@@ -28,10 +28,6 @@ double num_or_nan(const json_value& v) {
                        : v.as_number();
 }
 
-std::size_t size_of(const json_value& v) {
-    return static_cast<std::size_t>(v.as_number());
-}
-
 std::uint64_t u64_of(const json_value& v) {
     // 64-bit values travel as decimal strings (JSON numbers carry 53 bits).
     return std::stoull(v.as_string());
@@ -121,17 +117,17 @@ std::string scenario_row_json(const scenario_result& r) {
 
 scenario_result scenario_row_from_json(const json_value& v) {
     scenario_result r;
-    r.sc.index = size_of(v.at("index"));
-    r.sc.preset_index = size_of(v.at("preset_index"));
-    r.sc.fault_index = size_of(v.at("fault_index"));
-    r.sc.trial = size_of(v.at("trial"));
+    r.sc.index = v.at("index").as_size();
+    r.sc.preset_index = v.at("preset_index").as_size();
+    r.sc.fault_index = v.at("fault_index").as_size();
+    r.sc.trial = v.at("trial").as_size();
     r.sc.preset_name = v.at("preset").as_string();
     r.sc.fault = bist::fault_from_string(v.at("fault").as_string());
     r.sc.seed = u64_of(v.at("seed"));
     r.engine_error = v.at("engine_error").as_bool();
     r.error = v.at("error").as_string();
     r.elapsed_s = num_or_nan(v.at("elapsed_s"));
-    r.attempts = size_of(v.at("attempts"));
+    r.attempts = v.at("attempts").as_size();
     r.backoff_ms = num_or_nan(v.at("backoff_ms"));
     r.gave_up = v.at("gave_up").as_bool();
     r.timed_out = v.at("timed_out").as_bool();
@@ -175,28 +171,27 @@ std::string result_to_json(const campaign_result& result) {
 }
 
 campaign_result result_from_json(const json_value& doc) {
-    SDRBIST_EXPECTS(static_cast<int>(
-                        doc.at("shard_file_version").as_number()) ==
-                    shard_file_version);
+    SDRBIST_EXPECTS(doc.at("shard_file_version").as_size() ==
+                    static_cast<std::size_t>(shard_file_version));
     campaign_result out;
     out.preset_names = name_array_from_json(doc.at("presets"));
     out.fault_names = name_array_from_json(doc.at("faults"));
-    out.trials = size_of(doc.at("trials"));
+    out.trials = doc.at("trials").as_size();
     out.seed = u64_of(doc.at("seed"));
-    out.shard_index = size_of(doc.at("shard_index"));
-    out.shard_count = size_of(doc.at("shard_count"));
-    out.grid_size = size_of(doc.at("grid_size"));
-    out.threads_used = size_of(doc.at("threads_used"));
+    out.shard_index = doc.at("shard_index").as_size();
+    out.shard_count = doc.at("shard_count").as_size();
+    out.grid_size = doc.at("grid_size").as_size();
+    out.threads_used = doc.at("threads_used").as_size();
     out.wall_s = num_or_nan(doc.at("wall_s"));
-    out.cache_hits = size_of(doc.at("cache_hits"));
-    out.cache_misses = size_of(doc.at("cache_misses"));
-    out.stage_reuse_hits = size_of(doc.at("stage_reuse_hits"));
-    out.stage_reuse_computes = size_of(doc.at("stage_reuse_computes"));
-    out.store_hits = size_of(doc.at("store_hits"));
-    out.store_misses = size_of(doc.at("store_misses"));
-    out.store_bytes = size_of(doc.at("store_bytes"));
-    out.resumed = size_of(doc.at("resumed"));
-    out.quarantined = size_of(doc.at("quarantined"));
+    out.cache_hits = doc.at("cache_hits").as_size();
+    out.cache_misses = doc.at("cache_misses").as_size();
+    out.stage_reuse_hits = doc.at("stage_reuse_hits").as_size();
+    out.stage_reuse_computes = doc.at("stage_reuse_computes").as_size();
+    out.store_hits = doc.at("store_hits").as_size();
+    out.store_misses = doc.at("store_misses").as_size();
+    out.store_bytes = doc.at("store_bytes").as_size();
+    out.resumed = doc.at("resumed").as_size();
+    out.quarantined = doc.at("quarantined").as_size();
     out.telemetry_summary = telemetry_block_from_json(doc.at("telemetry"));
     for (const auto& row : doc.at("results").as_array())
         out.results.push_back(scenario_row_from_json(row));

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "core/simd/kernel_backend.hpp"
-
 namespace sdrbist {
 
 namespace {
@@ -44,16 +42,6 @@ std::string platform() {
 #endif
 }
 
-std::string backend_names(const std::vector<const simd::kernel_ops*>& list) {
-    std::string out;
-    for (const auto* ops : list) {
-        if (!out.empty())
-            out += ' ';
-        out += ops->name;
-    }
-    return out.empty() ? "none" : out;
-}
-
 } // namespace
 
 std::vector<std::pair<std::string, std::string>> build_info_fields() {
@@ -62,11 +50,6 @@ std::vector<std::pair<std::string, std::string>> build_info_fields() {
     fields.emplace_back("build_type", build_type());
     fields.emplace_back("cxx_standard", std::to_string(__cplusplus));
     fields.emplace_back("platform", platform());
-    fields.emplace_back("simd_compiled",
-                        backend_names(simd::kernel_backend::compiled()));
-    fields.emplace_back("simd_available",
-                        backend_names(simd::kernel_backend::available()));
-    fields.emplace_back("simd_active", simd::kernel_backend::select().name);
     return fields;
 }
 

@@ -1,6 +1,6 @@
 /// \file build_info.hpp
 /// \brief Build provenance for perf artefacts: compiler, build type,
-///        language standard, platform and the SIMD backend roster.
+///        language standard and platform.
 ///
 /// Perf numbers without provenance are not comparable.  The campaign CLI
 /// prints this block (`--build-info`) and stamps it into Chrome trace
@@ -16,9 +16,7 @@
 namespace sdrbist {
 
 /// Ordered key/value facts about this build and host: compiler,
-/// build_type, cxx_standard, platform, simd_compiled, simd_available,
-/// simd_active.  Resolves the active SIMD backend, so call it after any
-/// kernel_backend::force().
+/// build_type, cxx_standard, platform.
 std::vector<std::pair<std::string, std::string>> build_info_fields();
 
 /// The same facts rendered as an aligned text block (one "  key: value"

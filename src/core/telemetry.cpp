@@ -167,7 +167,6 @@ const char* to_string(counter c) {
     case counter::pool_tasks: return "pool.tasks";
     case counter::pool_idle_ns: return "pool.idle_ns";
     case counter::pool_queue_high_water: return "pool.queue_high_water";
-    case counter::simd_dispatches: return "simd.dispatches";
     case counter::scenario_retries: return "scenario.retries";
     case counter::scenario_failures: return "scenario.failures";
     case counter::scenario_gave_up: return "scenario.gave_up";

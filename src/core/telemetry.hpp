@@ -79,7 +79,6 @@ enum class counter : int {
     pool_tasks,           ///< thread-pool tasks executed
     pool_idle_ns,         ///< summed worker idle time (ns)
     pool_queue_high_water, ///< deepest task queue observed (max, not sum)
-    simd_dispatches,      ///< kernel_backend::select() table dispatches
     scenario_retries,     ///< scenario attempts re-run after a transient
                           ///< failure (campaign retry loop)
     scenario_failures,    ///< scenario attempts that ended in an error
@@ -102,7 +101,7 @@ enum class counter : int {
     store_bytes,          ///< raw (uncompressed) bytes served by store
                           ///< hits (summed, not a count)
 };
-inline constexpr std::size_t counter_count = 22;
+inline constexpr std::size_t counter_count = 21;
 
 /// Stable export name ("cache.hits", "pool.queue_high_water", ...).
 const char* to_string(counter c);

@@ -4,25 +4,53 @@
 #include <cmath>
 
 #include "core/math_util.hpp"
-#include "core/simd/kernel_backend.hpp"
 #include "dsp/window.hpp"
 
 namespace sdrbist::dsp {
 
 namespace {
 
-/// Dispatch the blended tap loop to the backend entry matching T.
-inline double backend_blend(const simd::kernel_ops& ops, const double* x,
-                            const double* rows, std::size_t stride,
-                            const double* w, std::size_t n) {
-    return ops.blend_dot(x, rows, stride, w, n);
+/// Polyphase 4-row blended dot product:
+///   coeff[i] = w[0]·rows[i] + w[1]·rows[i+stride]
+///            + w[2]·rows[i+2·stride] + w[3]·rows[i+3·stride]
+///   return Σ x[i]·coeff[i]
+/// `rows` points at the first of four consecutive LUT rows, `w` at the
+/// four cubic Lagrange blend weights.  The sum runs sequentially in
+/// ascending i, one fixed order on every host, so a capture does not
+/// depend on the CPU that interpolated it.
+double blend_dot(const double* x, const double* rows, std::size_t stride,
+                 const double* w, std::size_t n) {
+    const double* r0 = rows;
+    const double* r1 = rows + stride;
+    const double* r2 = rows + 2 * stride;
+    const double* r3 = rows + 3 * stride;
+    double acc = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double coeff =
+            w[0] * r0[i] + w[1] * r1[i] + w[2] * r2[i] + w[3] * r3[i];
+        acc += x[i] * coeff;
+    }
+    return acc;
 }
 
-inline std::complex<double>
-backend_blend(const simd::kernel_ops& ops, const std::complex<double>* x,
-              const double* rows, std::size_t stride, const double* w,
-              std::size_t n) {
-    return ops.blend_dot_cplx(x, rows, stride, w, n);
+/// The same blended dot product over interleaved complex samples.
+std::complex<double> blend_dot(const std::complex<double>* x,
+                               const double* rows, std::size_t stride,
+                               const double* w, std::size_t n) {
+    const double* r0 = rows;
+    const double* r1 = rows + stride;
+    const double* r2 = rows + 2 * stride;
+    const double* r3 = rows + 3 * stride;
+    // Componentwise accumulation matches std::complex<double> += exactly.
+    double re = 0.0;
+    double im = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double coeff =
+            w[0] * r0[i] + w[1] * r1[i] + w[2] * r2[i] + w[3] * r3[i];
+        re += x[i].real() * coeff;
+        im += x[i].imag() * coeff;
+    }
+    return {re, im};
 }
 
 } // namespace
@@ -32,8 +60,7 @@ sinc_interpolator<T>::sinc_interpolator(std::vector<T> samples, double rate,
                                         std::size_t half_taps, double beta,
                                         std::size_t phase_steps)
     : samples_(std::move(samples)), rate_(rate), half_taps_(half_taps),
-      beta_(beta), phase_steps_(phase_steps),
-      ops_(&simd::kernel_backend::select()) {
+      beta_(beta), phase_steps_(phase_steps) {
     SDRBIST_EXPECTS(rate_ > 0.0);
     SDRBIST_EXPECTS(half_taps_ >= 4);
     SDRBIST_EXPECTS(samples_.size() > 2 * half_taps_);
@@ -109,9 +136,9 @@ template <class T> T sinc_interpolator<T>::eval(double pos) const {
     const std::size_t stride = 2 * half_taps_;
     const double* r0 = lut_.data() + p * stride;
 
-    // Range checks hoisted out of the tap loop: clamp once, then hand the
-    // backend one branch-free contiguous blended dot product (the interior
-    // case covers the full 2·half_taps window).
+    // Range checks hoisted out of the tap loop: clamp once, then run one
+    // branch-free contiguous blended dot product (the interior case covers
+    // the full 2·half_taps window).
     const long lo = centre - half + 1;
     const long n0 = std::max(lo, 0L);
     const long n1 = std::min(centre + half, n_samples - 1);
@@ -119,9 +146,9 @@ template <class T> T sinc_interpolator<T>::eval(double pos) const {
         return T{};
 
     const double w[4] = {w0, w1, w2, w3};
-    return backend_blend(*ops_, samples_.data() + n0,
-                         r0 + static_cast<std::size_t>(n0 - lo), stride, w,
-                         static_cast<std::size_t>(n1 - n0 + 1));
+    return blend_dot(samples_.data() + n0,
+                     r0 + static_cast<std::size_t>(n0 - lo), stride, w,
+                     static_cast<std::size_t>(n1 - n0 + 1));
 }
 
 template <class T> T sinc_interpolator<T>::at_reference(double t) const {

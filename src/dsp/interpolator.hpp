@@ -14,10 +14,6 @@
 
 #include "core/contracts.hpp"
 
-namespace sdrbist::simd {
-struct kernel_ops;
-}
-
 namespace sdrbist::dsp {
 
 /// Windowed-sinc interpolator over samples x[n] taken at t = n / rate.
@@ -78,17 +74,12 @@ public:
     [[nodiscard]] std::size_t half_taps() const { return half_taps_; }
     [[nodiscard]] std::size_t phase_steps() const { return phase_steps_; }
 
-    /// SIMD kernel backend evaluating the tap loop (captured from
-    /// simd::kernel_backend::select() at construction).
-    [[nodiscard]] const simd::kernel_ops& backend() const { return *ops_; }
-
 private:
     std::vector<T> samples_;
     double rate_;
     std::size_t half_taps_;
     double beta_;
     std::size_t phase_steps_;
-    const simd::kernel_ops* ops_;
     /// Row r holds the 2·half_taps coefficients for fractional offset
     /// (r - 1)/phase_steps, r = 0 .. phase_steps + 2 (one pad row below 0
     /// and two above 1 for the cubic blend); row-major, stride 2·half_taps.

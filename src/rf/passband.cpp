@@ -3,10 +3,26 @@
 #include <cmath>
 
 #include "core/contracts.hpp"
-#include "core/simd/kernel_backend.hpp"
 #include "core/units.hpp"
 
 namespace sdrbist::rf {
+
+namespace {
+
+/// Elementwise passband carrier mix (envelope capture path):
+///   out[i] = Re{env[i]}·cos_wt[i] - Im{env[i]}·sin_wt[i]
+/// Per-instant value() and batch values() both call it, so the two stay
+/// bit-identical.
+void carrier_mix(const std::complex<double>* env, const double* cos_wt,
+                 const double* sin_wt, double* out, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+        const double re = env[i].real() * cos_wt[i];
+        const double im = env[i].imag() * sin_wt[i];
+        out[i] = re - im;
+    }
+}
+
+} // namespace
 
 std::vector<double>
 passband_signal::values(const std::vector<double>& t) const {
@@ -20,7 +36,7 @@ envelope_passband::envelope_passband(
     std::vector<std::complex<double>> envelope, double envelope_rate,
     double carrier_hz, std::size_t interp_half_taps)
     : interp_(std::move(envelope), envelope_rate, interp_half_taps),
-      carrier_hz_(carrier_hz), ops_(&simd::kernel_backend::select()) {
+      carrier_hz_(carrier_hz) {
     SDRBIST_EXPECTS(carrier_hz_ > 0.0);
     // The envelope must be strictly oversampled for interpolation to hold.
     SDRBIST_EXPECTS(envelope_rate > 0.0);
@@ -29,23 +45,19 @@ envelope_passband::envelope_passband(
 double envelope_passband::value(double t) const {
     const std::complex<double> e = interp_.at(t);
     // Re{E·e^{jwt}} with the carrier phase computed in full double
-    // precision.  The mix goes through the scalar kernel table so that
-    // per-instant and batch evaluation stay bit-identical on every
-    // architecture (the carrier_mix kernel is elementwise and
-    // bit-identical across backends).
+    // precision.
     const double wt = two_pi * carrier_hz_ * t;
     const double c = std::cos(wt);
     const double s = std::sin(wt);
     double out = 0.0;
-    simd::scalar_ops().carrier_mix(&e, &c, &s, &out, 1);
+    carrier_mix(&e, &c, &s, &out, 1);
     return out;
 }
 
 std::vector<double>
 envelope_passband::values(const std::vector<double>& t) const {
     const auto env = interp_.at(t); // batch LUT interpolation
-    // Carrier phase factors stay on scalar libm (no vector sincos in the
-    // baseline toolchain); the mix itself runs on the SIMD backend.
+    // Carrier phase factors on scalar libm, then one mix over the record.
     std::vector<double> cos_wt(t.size());
     std::vector<double> sin_wt(t.size());
     for (std::size_t i = 0; i < t.size(); ++i) {
@@ -54,8 +66,8 @@ envelope_passband::values(const std::vector<double>& t) const {
         sin_wt[i] = std::sin(wt);
     }
     std::vector<double> out(t.size());
-    ops_->carrier_mix(env.data(), cos_wt.data(), sin_wt.data(), out.data(),
-                      t.size());
+    carrier_mix(env.data(), cos_wt.data(), sin_wt.data(), out.data(),
+                t.size());
     return out;
 }
 

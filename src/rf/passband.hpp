@@ -16,10 +16,6 @@
 
 #include "dsp/interpolator.hpp"
 
-namespace sdrbist::simd {
-struct kernel_ops;
-}
-
 namespace sdrbist::rf {
 
 /// A real signal defined on [begin_time, end_time].
@@ -85,7 +81,6 @@ public:
 private:
     dsp::complex_interpolator interp_;
     double carrier_hz_;
-    const simd::kernel_ops* ops_; ///< backend for the batch carrier mix
 };
 
 /// One spectral line of a multitone signal.

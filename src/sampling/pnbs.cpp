@@ -5,7 +5,6 @@
 
 #include "core/contracts.hpp"
 #include "core/math_util.hpp"
-#include "core/simd/kernel_backend.hpp"
 #include "core/units.hpp"
 #include "dsp/window.hpp"
 
@@ -128,6 +127,27 @@ double kohlenberg_kernel::required_delay_accuracy(const band_spec& band,
 
 // ---- reconstructor ----------------------------------------------------------
 
+namespace {
+
+/// Fused pair of dot products sharing one call (stage 2 of value()):
+/// *out_a = Σ a[i]·ca[i], *out_b = Σ b[i]·cb[i], each summed sequentially
+/// in ascending i.  This order is part of the export contract: a graded
+/// value must not depend on the host that computed it, so the loops stay
+/// plain (no lane-split accumulators).
+void dot2(const double* a, const double* ca, const double* b,
+          const double* cb, std::size_t n, double* out_a, double* out_b) {
+    double acc_a = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+        acc_a += a[i] * ca[i];
+    double acc_b = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+        acc_b += b[i] * cb[i];
+    *out_a = acc_a;
+    *out_b = acc_b;
+}
+
+} // namespace
+
 pnbs_reconstructor::pnbs_reconstructor(
     std::vector<double> even, std::vector<double> odd, double period,
     double t_start, const band_spec& band, double delay_hypothesis,
@@ -135,8 +155,7 @@ pnbs_reconstructor::pnbs_reconstructor(
     : even_(std::move(even)), odd_(std::move(odd)), period_(period),
       t_start_(t_start), kernel_(band, delay_hypothesis), opt_(opt),
       window_(window ? std::move(window)
-                     : dsp::kaiser_lut::shared(opt.kaiser_beta)),
-      ops_(&simd::kernel_backend::select()) {
+                     : dsp::kaiser_lut::shared(opt.kaiser_beta)) {
     SDRBIST_EXPECTS(window_->beta() == opt_.kaiser_beta);
     SDRBIST_EXPECTS(period_ > 0.0);
     SDRBIST_EXPECTS(even_.size() == odd_.size());
@@ -290,13 +309,12 @@ double pnbs_reconstructor::value(double t) const {
         }
     }
 
-    // Stage 2: the fused even/odd pair of contiguous dot products, run on
-    // the dispatched SIMD backend.
+    // Stage 2: the fused even/odd pair of contiguous dot products.
     const double* ev = even_.data() + (centre + j_lo);
     const double* od = odd_.data() + (centre + j_lo);
     double acc_e = 0.0;
     double acc_o = 0.0;
-    ops_->dot2(ev, ce, od, co, count, &acc_e, &acc_o);
+    dot2(ev, ce, od, co, count, &acc_e, &acc_o);
     return acc_e + acc_o;
 }
 

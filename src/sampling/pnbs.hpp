@@ -12,10 +12,6 @@
 #include "dsp/window.hpp"
 #include "sampling/band.hpp"
 
-namespace sdrbist::simd {
-struct kernel_ops;
-}
-
 namespace sdrbist::sampling {
 
 /// Kohlenberg second-order interpolation kernel s(t) = s0(t) + s1(t) for a
@@ -114,8 +110,9 @@ struct pnbs_options {
 /// flips), so four sines per evaluation replace the four sines per *tap*
 /// of the textbook form, and the remaining per-tap cost is multiplies, a
 /// division and a window LUT load.  The accumulation runs as two
-/// contiguous dot products over the even/odd records so the compiler can
-/// vectorise it.  `value_reference()` retains the direct per-tap
+/// sequential dot products over the contiguous even/odd records, in one
+/// fixed summation order on every host.  `value_reference()` retains the
+/// direct per-tap
 /// transcendental evaluation; `uniform()` calls the same fused kernel as
 /// `value()` and is therefore bit-identical to per-point evaluation.
 class pnbs_reconstructor {
@@ -164,10 +161,6 @@ public:
     [[nodiscard]] double period() const { return period_; }
     [[nodiscard]] const dsp::kaiser_lut& window() const { return *window_; }
 
-    /// SIMD kernel backend running the stage-2 dot products (captured from
-    /// simd::kernel_backend::select() at construction).
-    [[nodiscard]] const simd::kernel_ops& backend() const { return *ops_; }
-
 private:
     std::vector<double> even_;
     std::vector<double> odd_;
@@ -176,7 +169,6 @@ private:
     kohlenberg_kernel kernel_;
     pnbs_options opt_;
     std::shared_ptr<const dsp::kaiser_lut> window_; ///< Kaiser window LUT
-    const simd::kernel_ops* ops_;
 
     // Fused fast-path constants (derived from the kernel in the ctor).
     long half_ = 0;          ///< taps / 2

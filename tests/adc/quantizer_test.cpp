@@ -1,7 +1,10 @@
 // Quantiser behaviour: LSB, clipping, SNR law, channel errors.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "adc/quantizer.hpp"
 #include "core/contracts.hpp"
@@ -80,6 +83,52 @@ TEST(Quantizer, MoreBitsNeverWorse) {
         EXPECT_LT(err, prev_err);
         prev_err = err;
     }
+}
+
+TEST(Quantizer, ProcessScaledBitIdenticalToPerSample) {
+    // The record path and the per-sample path run one kernel: with gain
+    // and offset errors, a front-end scale and a record that clips on both
+    // rails, process_scaled(x, s)[k] == quantize(s·x[k]) exactly, for
+    // every record length.
+    const quantizer q({10, 2.0, 0.013, -0.004});
+    rng gen(0x0AD);
+    for (std::size_t n = 0; n <= 37; ++n) {
+        const auto x = gen.uniform_vector(n, -6.0, 6.0);
+        const auto out = q.process_scaled(x, 0.7);
+        ASSERT_EQ(out.size(), n);
+        for (std::size_t k = 0; k < n; ++k)
+            EXPECT_EQ(out[k], q.quantize(0.7 * x[k]))
+                << "n=" << n << " k=" << k;
+        const auto plain = q.process(x);
+        for (std::size_t k = 0; k < n; ++k)
+            EXPECT_EQ(plain[k], q.quantize(x[k])) << "n=" << n << " k=" << k;
+    }
+}
+
+TEST(Quantizer, PropagatesNonFiniteInputs) {
+    // NaN stays NaN and ±inf clips to the rails' cell centres, identically
+    // on the per-sample and the record path (the clamp compares against
+    // the rails, so a NaN sample never takes a rail value).
+    const quantizer q({10, 2.0, 0.01, 0.002});
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const double top = q.quantize(1e300);
+    const double bottom = q.quantize(-1e300);
+    EXPECT_TRUE(std::isnan(q.quantize(nan)));
+    EXPECT_EQ(q.quantize(inf), top);
+    EXPECT_EQ(q.quantize(-inf), bottom);
+    EXPECT_NEAR(bottom, -2.0 + q.lsb() / 2.0, 1e-12);
+    EXPECT_NEAR(top, 2.0 - q.lsb() / 2.0, 1e-12);
+
+    std::vector<double> x;
+    for (int rep = 0; rep < 3; ++rep)
+        for (const double v : {nan, inf, -inf, 0.25, -1.5, 7.0})
+            x.push_back(v);
+    const auto out = q.process_scaled(x, 0.7);
+    for (std::size_t k = 0; k < x.size(); ++k)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(out[k]),
+                  std::bit_cast<std::uint64_t>(q.quantize(0.7 * x[k])))
+            << "k=" << k << " x=" << x[k];
 }
 
 TEST(Quantizer, Preconditions) {

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -222,6 +223,48 @@ TEST(StageStore, CorruptEntriesAreQuarantinedEvenOnNameCollision) {
     EXPECT_EQ(scan_store_dir(dir.path.string()).files(), 0u);
     (void)gc_store_dir(dir.path.string());
     EXPECT_EQ(count_files(dir.path / "quarantine"), 2u);
+}
+
+TEST(StageStore, HostileHeaderNumbersAreQuarantinedMisses) {
+    // Every integer the header carries is checked before it is cast:
+    // converting 1e30 to size_t is undefined behaviour, and -1 or 2.5 are
+    // no counts or versions at all.  Each must read as a corrupt entry (a
+    // quarantined miss on load, "corrupt" in a scan), never as a skewed
+    // version or a truncated value.
+    const scratch_dir dir("store_hostile_header");
+    stage_artefact_store store(dir.path.string());
+    const std::uint64_t digest = 0x4057ull;
+    const std::string path =
+        store.path_for(digest, bist::stage::calibration);
+    std::size_t quarantined = 0;
+    for (const std::string field :
+         {"store_version", "codec", "stage_canonical_version",
+          "payload_bytes", "raw_bytes"}) {
+        for (const std::string value : {"1e30", "-1", "2.5"}) {
+            store.store_calibration(digest, small_calibration());
+            std::string bytes;
+            {
+                std::ifstream in(path, std::ios::binary);
+                bytes.assign(std::istreambuf_iterator<char>(in), {});
+            }
+            const std::string key = "\"" + field + "\":";
+            const std::size_t at = bytes.find(key);
+            ASSERT_NE(at, std::string::npos) << field;
+            const std::size_t begin = at + key.size();
+            bytes.replace(begin, bytes.find_first_of(",}", begin) - begin,
+                          value);
+            std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+
+            EXPECT_EQ(scan_store_dir(dir.path.string()).corrupt, 1u)
+                << field << "=" << value;
+            EXPECT_EQ(store.load_calibration(digest), nullptr)
+                << field << "=" << value;
+            EXPECT_EQ(store.quarantined(), ++quarantined)
+                << field << "=" << value;
+            EXPECT_FALSE(fs::exists(path)) << field << "=" << value;
+        }
+    }
+    EXPECT_EQ(store.hits(), 0u);
 }
 
 // ---- GC ---------------------------------------------------------------------

@@ -254,6 +254,19 @@ TEST(JsonParser, RejectsMalformedInput) {
     EXPECT_THROW(parse_json("nope"), contract_violation);
 }
 
+TEST(JsonParser, AsSizeAcceptsOnlyExactCounts) {
+    const auto doc = parse_json(
+        R"([0, 7, 9007199254740992, 9007199254740994, 1e30, -1, 2.5, )"
+        R"(-0.5, "7", null])");
+    EXPECT_EQ(doc.at(std::size_t{0}).as_size(), 0u);
+    EXPECT_EQ(doc.at(std::size_t{1}).as_size(), 7u);
+    EXPECT_EQ(doc.at(std::size_t{2}).as_size(), std::size_t{1} << 53);
+    for (std::size_t i = 3; i < doc.size(); ++i)
+        EXPECT_THROW(static_cast<void>(doc.at(i).as_size()),
+                     contract_violation)
+            << "element " << i;
+}
+
 TEST(CsvParser, HandlesQuotingAndEmptyCells) {
     const auto rows = parse_csv("a,\"b,1\",\"say \"\"hi\"\"\"\nc,,d\n");
     ASSERT_EQ(rows.size(), 2u);

@@ -173,6 +173,27 @@ TEST(ShardIo, FileHelpersAndFailureModes) {
     fs::remove(path);
 }
 
+TEST(ShardIo, HostileCountsFailLoudly) {
+    // Counts are checked before the cast to size_t (1e30 would be
+    // undefined behaviour): out-of-range, negative and fractional values
+    // reject the file instead of truncating.
+    const std::string text = result_to_json(synthetic_shard(0, 2));
+    for (const std::string field : {"trials", "grid_size", "cache_hits",
+                                    "index", "attempts"}) {
+        for (const std::string value : {"1e30", "-1", "2.5"}) {
+            std::string bad = text;
+            const std::string key = "\"" + field + "\":";
+            const std::size_t at = bad.find(key);
+            ASSERT_NE(at, std::string::npos) << field;
+            const std::size_t begin = at + key.size();
+            bad.replace(begin, bad.find_first_of(",}", begin) - begin, value);
+            EXPECT_THROW(static_cast<void>(result_from_json(parse_json(bad))),
+                         contract_violation)
+                << field << "=" << value;
+        }
+    }
+}
+
 TEST(ShardIo, RealShardedRunsMergeBitIdenticalToUnsharded) {
     campaign_config cfg;
     cfg.base.tiadc.quant.full_scale = 2.0;

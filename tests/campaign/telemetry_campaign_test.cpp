@@ -252,6 +252,28 @@ TEST_F(CampaignTelemetry, CacheCountersMatchTheResultExactly) {
               warm.cache_misses);
 }
 
+TEST_F(CampaignTelemetry, CachelessRunCountsNoCacheHitsOrMisses) {
+    // Without a scenario cache there is nothing to hit or miss: both the
+    // result and the counters must read zero, not one miss per scenario.
+    auto cfg = small_campaign();
+    ASSERT_TRUE(cfg.cache_dir.empty());
+
+    tm::enable();
+    const auto before = tm::counters();
+    const auto result = campaign_runner(cfg).run();
+    const auto after = tm::counters();
+
+    EXPECT_GT(result.scenario_count(), 0u);
+    EXPECT_EQ(result.cache_hits, 0u);
+    EXPECT_EQ(result.cache_misses, 0u);
+    EXPECT_EQ(counter_at(after, tm::counter::cache_hits) -
+                  counter_at(before, tm::counter::cache_hits),
+              0u);
+    EXPECT_EQ(counter_at(after, tm::counter::cache_misses) -
+                  counter_at(before, tm::counter::cache_misses),
+              0u);
+}
+
 // ---- summaries merge additively across shards -------------------------------
 
 TEST_F(CampaignTelemetry, ShardSummariesMergeAdditively) {

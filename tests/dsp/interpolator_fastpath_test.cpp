@@ -138,6 +138,71 @@ TEST(SincInterpolatorFastPath, BatchIsBitIdenticalToScalar) {
         EXPECT_EQ(batch[i], interp.at(t[i])) << i;
 }
 
+// Summation-order oracle.  at() is linear in the samples, so the blended
+// LUT coefficient it applies to x[n] at instant t is exactly what the same
+// interpolator returns for a one-hot record e_n: one non-zero product
+// summed with exact zeros.  Re-summing x[n]·coefficient sequentially in
+// ascending n must then reproduce at(t) bit for bit.  Any other
+// accumulation order (lane-split partial sums, reversed loops) rounds
+// differently on random data and fails here.
+std::vector<real_interpolator> one_hot_basis(std::size_t n, double fs,
+                                             std::size_t half_taps,
+                                             std::size_t phase_steps) {
+    std::vector<real_interpolator> basis;
+    basis.reserve(n);
+    for (std::size_t k = 0; k < n; ++k) {
+        std::vector<double> e(n, 0.0);
+        e[k] = 1.0;
+        basis.emplace_back(std::move(e), fs, half_taps, 9.0, phase_steps);
+    }
+    return basis;
+}
+
+TEST(SincInterpolatorFastPath,
+     BlendedDotMatchesSequentialSumOracleElementExact) {
+    // Half-widths give 8..64-tap windows; probes sweep from before the
+    // record to past its end in steps that are not a multiple of the
+    // sample period, so every clamped window length (every loop tail)
+    // and many LUT phases occur.
+    rng gen(0x0AC1E);
+    const double fs = 100.0 * MHz;
+    for (const std::size_t half_taps : {4u, 5u, 7u, 16u, 32u}) {
+        const std::size_t n = 2 * half_taps + 9;
+        const auto basis = one_hot_basis(n, fs, half_taps, 64);
+        std::vector<double> x(n);
+        std::vector<std::complex<double>> xc(n);
+        for (std::size_t k = 0; k < n; ++k) {
+            x[k] = gen.uniform(-1.0, 1.0);
+            xc[k] = {gen.uniform(-1.0, 1.0), gen.uniform(-1.0, 1.0)};
+        }
+        const real_interpolator interp(x, fs, half_taps, 9.0, 64);
+        const complex_interpolator cinterp(xc, fs, half_taps, 9.0, 64);
+
+        const double margin = static_cast<double>(half_taps) + 2.0;
+        for (double pos = -margin; pos < static_cast<double>(n) + margin;
+             pos += 0.137) {
+            const double t = pos / fs;
+            double acc = 0.0;
+            double re = 0.0;
+            double im = 0.0;
+            for (std::size_t k = 0; k < n; ++k) {
+                const double c = basis[k].at(t);
+                acc += x[k] * c;
+                re += xc[k].real() * c;
+                im += xc[k].imag() * c;
+            }
+            // ASSERT: one mismatch report, not one per probe.
+            ASSERT_EQ(interp.at(t), acc)
+                << "half_taps=" << half_taps << " pos=" << pos;
+            const std::complex<double> got = cinterp.at(t);
+            ASSERT_EQ(got.real(), re)
+                << "half_taps=" << half_taps << " pos=" << pos;
+            ASSERT_EQ(got.imag(), im)
+                << "half_taps=" << half_taps << " pos=" << pos;
+        }
+    }
+}
+
 TEST(SincInterpolatorFastPath, PhaseResolutionControlsLutError) {
     // The blend error falls as phase_steps^-4; a very coarse table must be
     // measurably worse than the default, and the default essentially exact.

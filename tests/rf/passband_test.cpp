@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
+#include <vector>
 
+#include "core/random.hpp"
 #include "core/units.hpp"
 #include "rf/passband.hpp"
 
@@ -55,6 +58,25 @@ TEST(EnvelopePassband, ReproducesToneFromEnvelope) {
         const double expect = std::cos(two_pi * (fc + f_off) * t);
         EXPECT_NEAR(sig.value(t), expect, 2e-4) << "t=" << t;
     }
+}
+
+TEST(EnvelopePassband, BatchValuesBitIdenticalToPerInstant) {
+    // The capture path evaluates a whole record through values(); the
+    // per-instant value() must agree bit for bit, since both interpolate
+    // through one LUT and mix through one carrier kernel.
+    rng gen(0xCAB);
+    const double env_rate = 180.0 * MHz;
+    std::vector<std::complex<double>> env(1024);
+    for (auto& v : env)
+        v = {gen.uniform(-1.0, 1.0), gen.uniform(-1.0, 1.0)};
+    const envelope_passband sig(std::move(env), env_rate, 1.0 * GHz);
+    std::vector<double> t(600);
+    for (auto& ti : t)
+        ti = gen.uniform(sig.begin_time(), sig.end_time());
+    const auto batch = sig.values(t);
+    ASSERT_EQ(batch.size(), t.size());
+    for (std::size_t i = 0; i < t.size(); ++i)
+        EXPECT_EQ(batch[i], sig.value(t[i])) << "t=" << t[i];
 }
 
 TEST(EnvelopePassband, EnvelopeInterpolationAccuracy) {

@@ -171,6 +171,56 @@ TEST(PnbsFastPath, BatchValuesBitIdenticalToPerPoint) {
         EXPECT_EQ(batch[i], recon.value(t[i])) << i;
 }
 
+// Summation-order oracle.  value() is linear in the two records, so the
+// stage-2 coefficient it applies to even[n] (odd[n]) at instant t is
+// exactly what a reconstructor over a one-hot even (odd) record returns:
+// one non-zero product summed with exact zeros.  Re-summing record ×
+// coefficient sequentially in ascending n, even stream then odd stream,
+// must then reproduce value(t) bit for bit.  Any other accumulation order
+// (lane-split partial sums, reversed loops) rounds differently on random
+// records and fails here.
+TEST(PnbsFastPath, StageTwoMatchesSequentialSumOracleElementExact) {
+    const band_spec band = band_around(1.0 * GHz, 90.0 * MHz);
+    const double period = 1.0 / band.bandwidth();
+    const double d = 180.0 * ps;
+    const double t_start = 3.0 * period;
+    rng gen(0x0AC1F);
+    for (const std::size_t taps : {5u, 7u, 9u, 13u, 31u, 61u}) {
+        const pnbs_options opt{taps, 8.0};
+        const std::size_t n = taps + 8;
+        const std::vector<double> zeros(n, 0.0);
+        std::vector<pnbs_reconstructor> even_basis, odd_basis;
+        for (std::size_t k = 0; k < n; ++k) {
+            std::vector<double> e = zeros;
+            e[k] = 1.0;
+            even_basis.emplace_back(e, zeros, period, t_start, band, d, opt);
+            odd_basis.emplace_back(zeros, e, period, t_start, band, d, opt);
+        }
+        const auto even = gen.uniform_vector(n, -1.0, 1.0);
+        const auto odd = gen.uniform_vector(n, -1.0, 1.0);
+        const pnbs_reconstructor recon(even, odd, period, t_start, band, d,
+                                       opt);
+
+        // From before the records to past their end, in steps that are not
+        // a multiple of T: every clamped tap-window length (every loop
+        // tail) occurs, as do the exact-sinc patched taps.
+        const double margin = static_cast<double>(taps / 2) + 2.0;
+        for (double pos = -margin; pos < static_cast<double>(n) + margin;
+             pos += 0.137) {
+            const double t = t_start + pos * period;
+            double acc_e = 0.0;
+            for (std::size_t k = 0; k < n; ++k)
+                acc_e += even[k] * even_basis[k].value(t);
+            double acc_o = 0.0;
+            for (std::size_t k = 0; k < n; ++k)
+                acc_o += odd[k] * odd_basis[k].value(t);
+            // ASSERT: one mismatch report, not one per probe.
+            ASSERT_EQ(recon.value(t), acc_e + acc_o)
+                << "taps=" << taps << " pos=" << pos;
+        }
+    }
+}
+
 TEST(PnbsFastPath, ReferencePathStillReconstructs) {
     // Guard the retained reference itself: it must keep reconstructing
     // in-band signals (it is the yardstick every fast path is held to).

@@ -1,14 +1,10 @@
-// Property/fuzz-style lockdown of the PNBS reconstructor under SIMD
-// backend dispatch: across randomly drawn configurations (band position,
-// tap count, window shape, record length, delay hypothesis) and under
-// EVERY CPU-supported backend,
+// Property/fuzz-style lockdown of the PNBS reconstructor: across randomly
+// drawn configurations (band position, tap count, window shape, record
+// length, delay hypothesis),
 //
-//  * uniform() and values() stay bit-identical to per-point value() —
-//    the PR 2 invariant, now quantified over backends;
+//  * uniform() and values() stay bit-identical to per-point value();
 //  * the fused fast path stays within its accuracy envelope of the
-//    per-tap transcendental reference;
-//  * a backend-built reconstructor agrees with its scalar-forced twin
-//    within the documented accumulation bound.
+//    per-tap transcendental reference.
 //
 // Configurations are drawn from a seeded rng, so failures reproduce; the
 // draw is rejected (and redrawn) only when the delay hypothesis lands on a
@@ -16,11 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <string_view>
 #include <vector>
 
 #include "core/random.hpp"
-#include "core/simd/kernel_backend.hpp"
 #include "core/units.hpp"
 #include "sampling/band.hpp"
 #include "sampling/pnbs.hpp"
@@ -31,7 +25,6 @@ using namespace sdrbist;
 using sampling::band_spec;
 using sampling::kohlenberg_kernel;
 using sampling::pnbs_reconstructor;
-using simd::kernel_backend;
 
 /// One randomly drawn reconstruction scenario.
 struct scenario {
@@ -76,97 +69,53 @@ pnbs_reconstructor build(const scenario& s) {
                               s.delay, {s.taps, s.beta});
 }
 
-/// Restores auto-detection after the forced-backend loops.
-struct backend_restore {
-    ~backend_restore() { kernel_backend::reset(); }
-};
-
-TEST(PnbsProperty, BatchEntryPointsBitIdenticalToPerPointUnderEveryBackend) {
-    backend_restore restore;
+TEST(PnbsProperty, BatchEntryPointsBitIdenticalToPerPoint) {
     rng gen(0xF022);
     for (int config = 0; config < 12; ++config) {
         const scenario s = draw_scenario(gen);
-        for (const auto* ops : kernel_backend::available()) {
-            kernel_backend::force(ops->name);
-            const auto recon = build(s);
-            ASSERT_STREQ(recon.backend().name, ops->name);
+        const auto recon = build(s);
 
-            // Probes include instants outside the valid span (clamped tap
-            // windows) and outside the records entirely.
-            rng probe(0xAB + static_cast<std::uint64_t>(config));
-            const double lo = recon.valid_begin() - 5.0 * s.period;
-            const double hi = recon.valid_end() + 5.0 * s.period;
-            std::vector<double> ts(120);
-            for (auto& t : ts)
-                t = probe.uniform(lo, hi);
+        // Probes include instants outside the valid span (clamped tap
+        // windows) and outside the records entirely.
+        rng probe(0xAB + static_cast<std::uint64_t>(config));
+        const double lo = recon.valid_begin() - 5.0 * s.period;
+        const double hi = recon.valid_end() + 5.0 * s.period;
+        std::vector<double> ts(120);
+        for (auto& t : ts)
+            t = probe.uniform(lo, hi);
 
-            const auto batch = recon.values(ts);
-            for (std::size_t i = 0; i < ts.size(); ++i)
-                EXPECT_EQ(batch[i], recon.value(ts[i]))
-                    << ops->name << " config=" << config << " t=" << ts[i];
+        const auto batch = recon.values(ts);
+        for (std::size_t i = 0; i < ts.size(); ++i)
+            EXPECT_EQ(batch[i], recon.value(ts[i]))
+                << "config=" << config << " t=" << ts[i];
 
-            const double rate = 3.1 * s.band.bandwidth();
-            const double t0 = recon.valid_begin();
-            const auto grid = recon.uniform(t0, rate, 100);
-            for (std::size_t i = 0; i < grid.size(); ++i)
-                EXPECT_EQ(grid[i],
-                          recon.value(t0 + static_cast<double>(i) / rate))
-                    << ops->name << " config=" << config << " i=" << i;
-        }
+        const double rate = 3.1 * s.band.bandwidth();
+        const double t0 = recon.valid_begin();
+        const auto grid = recon.uniform(t0, rate, 100);
+        for (std::size_t i = 0; i < grid.size(); ++i)
+            EXPECT_EQ(grid[i], recon.value(t0 + static_cast<double>(i) / rate))
+                << "config=" << config << " i=" << i;
     }
 }
 
-TEST(PnbsProperty, FastPathTracksReferenceUnderEveryBackend) {
-    backend_restore restore;
+TEST(PnbsProperty, FastPathTracksReference) {
     rng gen(0xF023);
     for (int config = 0; config < 8; ++config) {
         const scenario s = draw_scenario(gen);
-        for (const auto* ops : kernel_backend::available()) {
-            kernel_backend::force(ops->name);
-            const auto recon = build(s);
+        const auto recon = build(s);
 
-            rng probe(0xCD + static_cast<std::uint64_t>(config));
-            double worst = 0.0;
-            for (int i = 0; i < 100; ++i) {
-                const double t =
-                    probe.uniform(recon.valid_begin(), recon.valid_end());
-                worst = std::max(
-                    worst, std::abs(recon.value(t) - recon.value_reference(t)));
-            }
-            // Random (non-bandlimited) records: the envelope is looser
-            // than the curated fastpath suites but still pins the fused
-            // evaluation to the transcendental reference.
-            EXPECT_LT(worst, 1e-8)
-                << ops->name << " config=" << config << " taps=" << s.taps;
+        rng probe(0xCD + static_cast<std::uint64_t>(config));
+        double worst = 0.0;
+        for (int i = 0; i < 100; ++i) {
+            const double t =
+                probe.uniform(recon.valid_begin(), recon.valid_end());
+            worst = std::max(
+                worst, std::abs(recon.value(t) - recon.value_reference(t)));
         }
-    }
-}
-
-TEST(PnbsProperty, BackendBuildsAgreeWithScalarTwinWithinBound) {
-    backend_restore restore;
-    rng gen(0xF024);
-    for (int config = 0; config < 8; ++config) {
-        const scenario s = draw_scenario(gen);
-
-        kernel_backend::force("scalar");
-        const auto scalar_recon = build(s);
-        rng probe(0xEF + static_cast<std::uint64_t>(config));
-        std::vector<double> ts(150);
-        for (auto& t : ts)
-            t = probe.uniform(scalar_recon.valid_begin(),
-                              scalar_recon.valid_end());
-        const auto ref = scalar_recon.values(ts);
-
-        for (const auto* ops : kernel_backend::available()) {
-            if (std::string_view(ops->name) == "scalar")
-                continue;
-            kernel_backend::force(ops->name);
-            const auto recon = build(s);
-            const auto got = recon.values(ts);
-            for (std::size_t i = 0; i < ts.size(); ++i)
-                EXPECT_NEAR(got[i], ref[i], 1e-11)
-                    << ops->name << " config=" << config << " t=" << ts[i];
-        }
+        // Random (non-bandlimited) records: the envelope is looser than
+        // the curated fastpath suites but still pins the fused evaluation
+        // to the transcendental reference.
+        EXPECT_LT(worst, 1e-8) << "config=" << config << " taps=" << s.taps;
     }
 }
 
