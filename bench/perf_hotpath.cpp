@@ -1,9 +1,10 @@
 // Hot-path kernel engine bench: the two inner loops every campaign
 // scenario traverses thousands of times, timed fast-path vs reference.
 //
-//  * PNBS uniform() reconstruction — the fused Kohlenberg evaluation
-//    (rotation recurrences + window LUT) against the per-tap
-//    transcendental reference (paper eq. (6)).
+//  * PNBS uniform() reconstruction — the table-driven Kohlenberg
+//    evaluation (per-point NCO sines + cubic-blended envelope table)
+//    against the per-tap transcendental, exact-window oracle (paper
+//    eq. (6)); the record carries the shared table's size.
 //  * Windowed-sinc interpolated capture — the polyphase-LUT interpolator
 //    behind every BP-TIADC capture against the two-Bessel-series-per-tap
 //    reference.
@@ -99,6 +100,7 @@ void bench_pnbs_uniform(std::size_t n_points, int reps) {
     rec.add("kernel", std::string("pnbs_uniform"));
     rec.add("points", n_points);
     rec.add("taps", std::size_t{61});
+    rec.add("table_bytes", recon.table().bytes());
     rec.add("ref_ns_per_point", 1e9 * s_ref / static_cast<double>(n_points));
     rec.add("fast_ns_per_point",
             1e9 * s_fast / static_cast<double>(n_points));

@@ -56,8 +56,13 @@ inline constexpr int canonical_config_version = 1;
 // here MUST bump `stage_canonical_version`.
 // ---------------------------------------------------------------------------
 
-/// Version of the stage-slice serialisation (field assignment + rendering).
-inline constexpr int stage_canonical_version = 1;
+/// Version of the stage-slice serialisation (field assignment + rendering)
+/// and of the stage computations behind it: bumped when a stage's output
+/// changes for an unchanged slice, so stored artefacts of the old
+/// computation are never served again.  Version 2: the table-driven PNBS
+/// kernel changed calibration and reconstruction outputs in their last
+/// bits.
+inline constexpr int stage_canonical_version = 2;
 
 /// Canonical text of the configuration subset stage `s` consumes directly
 /// (upstream fields are covered by the upstream stages' slices).

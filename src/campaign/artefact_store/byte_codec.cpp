@@ -94,7 +94,8 @@ std::string byte_codec_compress(std::string_view raw) {
              cand = chain[cand & (window - 1)], ++steps) {
             const std::size_t limit = n - i;
             std::size_t len = 0;
-            while (len < limit && raw[cand + len] == raw[i + len])
+            while (len < limit && len < byte_codec_max_match &&
+                   raw[cand + len] == raw[i + len])
                 ++len;
             if (len > best_len) {
                 best_len = len;
@@ -124,13 +125,17 @@ std::string byte_codec_compress(std::string_view raw) {
 
 std::string byte_codec_decompress(std::string_view packed,
                                   std::size_t raw_size) {
+    // Checked before the reserve: the header's raw size is outside input.
+    SDRBIST_EXPECTS(packed.size() <= SIZE_MAX / byte_codec_max_match &&
+                    raw_size <= byte_codec_max_raw_size(packed.size()));
     std::string out;
     out.reserve(raw_size);
     std::size_t pos = 0;
     while (out.size() < raw_size) {
         const std::uint64_t token = get_varint(packed, pos);
+        SDRBIST_EXPECTS((token >> 1) <= raw_size - out.size());
         const std::size_t len = static_cast<std::size_t>(token >> 1);
-        SDRBIST_EXPECTS(len > 0 && out.size() + len <= raw_size);
+        SDRBIST_EXPECTS(len > 0);
         if ((token & 1) == 0) {
             SDRBIST_EXPECTS(pos + len <= packed.size());
             out.append(packed.data() + pos, len);
@@ -138,8 +143,8 @@ std::string byte_codec_decompress(std::string_view packed,
         } else {
             const std::size_t dist =
                 static_cast<std::size_t>(get_varint(packed, pos));
-            SDRBIST_EXPECTS(dist >= 1 && dist <= out.size() &&
-                            dist <= window);
+            SDRBIST_EXPECTS(len <= byte_codec_max_match && dist >= 1 &&
+                            dist <= out.size() && dist <= window);
             // Overlapping copies are the RLE case: copy byte-by-byte.
             std::size_t src = out.size() - dist;
             for (std::size_t k = 0; k < len; ++k)

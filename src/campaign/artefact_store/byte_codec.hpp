@@ -13,12 +13,14 @@
 ///   stream := token*
 ///   token  := varint v
 ///             v even → literal run of (v >> 1) bytes, which follow raw
-///             v odd  → match of length (v >> 1) >= min_match, followed by
-///                      varint distance (1 .. window behind the cursor)
+///             v odd  → match of length (v >> 1), min_match ..
+///                      byte_codec_max_match, followed by varint distance
+///                      (1 .. window behind the cursor)
 ///
 /// Decoding stops when exactly `raw_size` bytes have been produced (the
 /// caller carries the raw size in the entry header); anything else —
-/// truncation, overrun, zero/oversized distance — throws
+/// a raw size beyond the payload's maximum expansion, truncation,
+/// overrun, an oversized match, zero/oversized distance — throws
 /// `contract_violation`, which the store treats as a corrupt entry.
 ///
 /// The encoder is a greedy hash-chained matcher and is deterministic: one
@@ -33,8 +35,20 @@
 
 namespace sdrbist::campaign {
 
-/// Version of the token grammar + encoder behaviour.
-inline constexpr int byte_codec_version = 1;
+/// Version of the token grammar + encoder behaviour.  Version 2 bounds the
+/// match length.
+inline constexpr int byte_codec_version = 2;
+
+/// Longest match one token may claim.
+inline constexpr std::size_t byte_codec_max_match = std::size_t{1} << 16;
+
+/// Largest raw size any payload of `payload_size` bytes decodes to: a
+/// token takes at least two bytes and yields at most byte_codec_max_match
+/// (a literal run yields fewer bytes than it takes).
+[[nodiscard]] constexpr std::size_t
+byte_codec_max_raw_size(std::size_t payload_size) {
+    return payload_size / 2 * byte_codec_max_match;
+}
 
 /// Compress `raw` into the token stream described above.
 [[nodiscard]] std::string byte_codec_compress(std::string_view raw);

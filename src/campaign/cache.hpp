@@ -36,7 +36,10 @@
 namespace sdrbist::campaign {
 
 /// On-disk cache entry format version (file layout, report field set).
-inline constexpr int cache_format_version = 1;
+/// The key chains canonical_config_text, not stage_canonical_version, so a
+/// change to the graded values of an unchanged config bumps this too
+/// (version 2: the table-driven PNBS kernel).
+inline constexpr int cache_format_version = 2;
 
 /// Version of the master-seed → scenario-seed derivation in
 /// campaign.cpp.  Part of every key: if the derivation changes, equal

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
@@ -471,11 +472,17 @@ double json_value::as_number() const {
     return std::get<double>(v_);
 }
 
-std::size_t json_value::as_size() const {
+std::uint64_t json_value::as_u64() const {
     const double d = as_number();
     SDRBIST_EXPECTS(d >= 0.0 && d <= 9007199254740992.0 &&
                     d == std::floor(d));
-    return static_cast<std::size_t>(d);
+    return static_cast<std::uint64_t>(d);
+}
+
+std::size_t json_value::as_size() const {
+    const std::uint64_t v = as_u64();
+    SDRBIST_EXPECTS(v <= SIZE_MAX);
+    return static_cast<std::size_t>(v);
 }
 
 const std::string& json_value::as_string() const {

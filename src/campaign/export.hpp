@@ -8,6 +8,7 @@
 /// can be suppressed via export_options for byte-level comparisons).
 #pragma once
 
+#include <cstdint>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -176,6 +177,8 @@ public:
     /// 2^53 (the largest range a double holds without gaps).  Throws
     /// contract_violation otherwise, before any cast, so hostile input
     /// (1e30, -1, 2.5, NaN) never reaches an undefined conversion.
+    [[nodiscard]] std::uint64_t as_u64() const;
+    /// as_u64(), for counts that index or size memory.
     [[nodiscard]] std::size_t as_size() const;
 
     /// Object member access; throws contract_violation when missing.

@@ -33,10 +33,6 @@ std::uint64_t u64_of(const json_value& v) {
     return std::stoull(v.as_string());
 }
 
-std::uint64_t u64_of_number(const json_value& v) {
-    return static_cast<std::uint64_t>(v.as_number());
-}
-
 std::string name_array_json(const std::vector<std::string>& names) {
     std::string out = "[";
     for (std::size_t i = 0; i < names.size(); ++i) {
@@ -86,7 +82,7 @@ telemetry::summary telemetry_block_from_json(const json_value& v) {
         SDRBIST_EXPECTS(arr[i].at("category").as_string() ==
                         telemetry::to_string(
                             static_cast<telemetry::category>(i)));
-        out.categories[i].count = u64_of_number(arr[i].at("count"));
+        out.categories[i].count = arr[i].at("count").as_u64();
         out.categories[i].total_ns = u64_of(arr[i].at("total_ns"));
         out.categories[i].max_ns = u64_of(arr[i].at("max_ns"));
     }

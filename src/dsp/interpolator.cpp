@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
 #include "core/math_util.hpp"
+#include "core/shared_table_cache.hpp"
 #include "dsp/window.hpp"
 
 namespace sdrbist::dsp {
@@ -53,6 +55,20 @@ std::complex<double> blend_dot(const std::complex<double>* x,
     return {re, im};
 }
 
+/// Process-wide table for one interpolator shape, shared by real and
+/// complex interpolators.  Few shapes are in use (the capture path's
+/// default is 525 KB), so four entries hold them all.
+std::shared_ptr<const std::vector<double>>
+shared_sinc_table(std::size_t half_taps, double beta,
+                  std::size_t phase_steps) {
+    static shared_table_cache<std::tuple<std::size_t, double, std::size_t>,
+                              std::vector<double>>
+        cache(4);
+    return cache.get({half_taps, beta, phase_steps}, [&] {
+        return sinc_polyphase_table(half_taps, beta, phase_steps);
+    });
+}
+
 } // namespace
 
 template <class T>
@@ -64,41 +80,35 @@ sinc_interpolator<T>::sinc_interpolator(std::vector<T> samples, double rate,
     SDRBIST_EXPECTS(rate_ > 0.0);
     SDRBIST_EXPECTS(half_taps_ >= 4);
     SDRBIST_EXPECTS(samples_.size() > 2 * half_taps_);
-    SDRBIST_EXPECTS(beta_ >= 0.0);
+    SDRBIST_EXPECTS(beta_ >= 0.0 && std::isfinite(beta_));
     SDRBIST_EXPECTS(phase_steps_ >= 64);
-    build_lut();
+    lut_ = shared_sinc_table(half_taps_, beta_, phase_steps_);
 }
 
-template <class T> void sinc_interpolator<T>::build_lut() {
-    const std::size_t stride = 2 * half_taps_;
-    const std::size_t rows = phase_steps_ + 3;
-    lut_.resize(rows * stride);
+std::vector<double> sinc_polyphase_table(std::size_t half_taps, double beta,
+                                         std::size_t phase_steps) {
+    SDRBIST_EXPECTS(half_taps >= 4 && phase_steps >= 64 && beta >= 0.0);
+    const std::size_t stride = 2 * half_taps;
+    const std::size_t rows = phase_steps + 3;
+    std::vector<double> lut(rows * stride);
 
-    const double inv_half = 1.0 / static_cast<double>(half_taps_);
-    const double inv_i0b = 1.0 / bessel_i0(beta_);
-    // Pad-row cells fall (just) outside the window support; tabulating the
-    // window's smooth analytic continuation there — I0(β√(1-u²)) becomes
-    // J0(β√(u²-1)) for |u| > 1 — keeps the tabulated function C^∞ through
-    // the support edge, so the cubic phase blend keeps its full order.
-    // Points inside the support never read a continued value directly.
-    auto window = [&](double u) {
-        u = std::abs(u);
-        if (u > 1.0)
-            return bessel_j0(beta_ * std::sqrt(u * u - 1.0)) * inv_i0b;
-        return bessel_i0(beta_ * std::sqrt(1.0 - u * u)) * inv_i0b;
-    };
+    const double inv_half = 1.0 / static_cast<double>(half_taps);
+    const double inv_i0b = 1.0 / bessel_i0(beta);
 
     // The coefficient g(frac, c) = sinc(d)·w(d/half) with
     // d = frac - (c - half + 1) obeys g(1 - frac, c) = g(frac, stride-1-c),
     // so only the lower half of the phase range needs transcendentals.
-    const auto half = static_cast<long>(half_taps_);
+    // Pad-row cells fall (just) outside the window support and read the
+    // window's analytic continuation; points inside the support never read
+    // a continued value directly.
+    const auto half = static_cast<long>(half_taps);
     for (std::size_t r = 0; r < rows; ++r) {
         const double frac = (static_cast<double>(r) - 1.0) /
-                            static_cast<double>(phase_steps_);
-        double* row = lut_.data() + r * stride;
-        const std::size_t r_mirror = phase_steps_ + 2 - r;
+                            static_cast<double>(phase_steps);
+        double* row = lut.data() + r * stride;
+        const std::size_t r_mirror = phase_steps + 2 - r;
         if (r > r_mirror && r_mirror < rows) {
-            const double* src = lut_.data() + r_mirror * stride;
+            const double* src = lut.data() + r_mirror * stride;
             for (std::size_t c = 0; c < stride; ++c)
                 row[c] = src[stride - 1 - c];
             continue;
@@ -106,9 +116,11 @@ template <class T> void sinc_interpolator<T>::build_lut() {
         for (std::size_t c = 0; c < stride; ++c) {
             const double d =
                 frac - static_cast<double>(static_cast<long>(c) - half + 1);
-            row[c] = sinc(d) * window(d * inv_half);
+            row[c] = sinc(d) * kaiser_window_continued(d * inv_half, beta,
+                                                       inv_i0b);
         }
     }
+    return lut;
 }
 
 template <class T> T sinc_interpolator<T>::eval(double pos) const {
@@ -134,7 +146,7 @@ template <class T> T sinc_interpolator<T>::eval(double pos) const {
     const double w3 = up * u * um * (1.0 / 6.0);
 
     const std::size_t stride = 2 * half_taps_;
-    const double* r0 = lut_.data() + p * stride;
+    const double* r0 = lut_->data() + p * stride;
 
     // Range checks hoisted out of the tap loop: clamp once, then run one
     // branch-free contiguous blended dot product (the interior case covers

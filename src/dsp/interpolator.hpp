@@ -10,6 +10,7 @@
 #pragma once
 
 #include <complex>
+#include <memory>
 #include <vector>
 
 #include "core/contracts.hpp"
@@ -23,13 +24,16 @@ namespace sdrbist::dsp {
 /// are treated as zero; call `valid_begin()/valid_end()` for the time span
 /// where no edge truncation occurs.
 ///
-/// The hot path draws its coefficients from a polyphase LUT built at
-/// construction: `phase_steps` rows of 2·half_taps windowed-sinc
+/// The hot path draws its coefficients from a polyphase LUT
+/// (sinc_polyphase_table): `phase_steps` rows of 2·half_taps windowed-sinc
 /// coefficients over the fractional sample offset, blended with a cubic
 /// (4-row Lagrange) interpolation so the error against the exact
 /// transcendental evaluation stays below ~1e-12 at the default 1024
-/// phases.  `at_reference()` keeps the original two-Bessel-series-per-tap
-/// evaluation for accuracy regression tests and benches.
+/// phases.  The table depends only on (half_taps, beta, phase_steps), so
+/// interpolators take it from a bounded process-wide cache instead of
+/// building one each.  `at_reference()` keeps the original
+/// two-Bessel-series-per-tap evaluation for accuracy regression tests and
+/// benches.
 template <class T> class sinc_interpolator {
 public:
     /// \param samples     uniform samples, x[n] at t = n/rate
@@ -73,6 +77,9 @@ public:
     [[nodiscard]] const std::vector<T>& samples() const { return samples_; }
     [[nodiscard]] std::size_t half_taps() const { return half_taps_; }
     [[nodiscard]] std::size_t phase_steps() const { return phase_steps_; }
+    /// The polyphase table this interpolator evaluates through (shared
+    /// with every interpolator of equal half_taps, beta and phase_steps).
+    [[nodiscard]] const std::vector<double>& table() const { return *lut_; }
 
 private:
     std::vector<T> samples_;
@@ -80,14 +87,18 @@ private:
     std::size_t half_taps_;
     double beta_;
     std::size_t phase_steps_;
-    /// Row r holds the 2·half_taps coefficients for fractional offset
-    /// (r - 1)/phase_steps, r = 0 .. phase_steps + 2 (one pad row below 0
-    /// and two above 1 for the cubic blend); row-major, stride 2·half_taps.
-    std::vector<double> lut_;
+    std::shared_ptr<const std::vector<double>> lut_;
 
-    void build_lut();
     [[nodiscard]] T eval(double pos) const;
 };
+
+/// Builds the polyphase windowed-sinc table of sinc_interpolator: row r
+/// holds the 2·half_taps coefficients for fractional offset
+/// (r - 1)/phase_steps, r = 0 .. phase_steps + 2 (one pad row below 0 and
+/// two above 1 for the cubic blend); row-major, stride 2·half_taps.
+[[nodiscard]] std::vector<double>
+sinc_polyphase_table(std::size_t half_taps, double beta,
+                     std::size_t phase_steps);
 
 extern template class sinc_interpolator<double>;
 extern template class sinc_interpolator<std::complex<double>>;

@@ -71,6 +71,13 @@ double kaiser_window_at(double u, double beta) {
     return bessel_i0(beta * std::sqrt(1.0 - u * u)) / bessel_i0(beta);
 }
 
+double kaiser_window_continued(double u, double beta, double inv_i0b) {
+    u = std::abs(u);
+    if (u > 1.0)
+        return bessel_j0(beta * std::sqrt(u * u - 1.0)) * inv_i0b;
+    return bessel_i0(beta * std::sqrt(1.0 - u * u)) * inv_i0b;
+}
+
 kaiser_lut::kaiser_lut(double beta, std::size_t resolution) : beta_(beta) {
     SDRBIST_EXPECTS(beta >= 0.0);
     SDRBIST_EXPECTS(resolution >= 16);

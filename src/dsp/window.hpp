@@ -39,6 +39,13 @@ double kaiser_beta_for_attenuation(double attenuation_db);
 /// Exact (two Bessel-I0 series per call); hot paths use kaiser_lut.
 double kaiser_window_at(double u, double beta);
 
+/// The continuous Kaiser window continued analytically past its support:
+/// I0(β√(1−u²))·inv_i0b for |u| <= 1, J0(β√(u²−1))·inv_i0b beyond (I0 of
+/// an imaginary argument is J0).  Polyphase table builders tabulate it so
+/// that a phase blend whose rows straddle the support edge keeps its full
+/// order; `inv_i0b` = 1/I0(β) is hoisted out of their per-cell loops.
+double kaiser_window_continued(double u, double beta, double inv_i0b);
+
 /// Precomputed continuous Kaiser window: `resolution + 1` exact samples of
 /// kaiser_window_at over u in [0, 1], evaluated by symmetric linear
 /// interpolation.  Replaces the two Bessel-I0 series per call with two loads
@@ -46,12 +53,11 @@ double kaiser_window_at(double u, double beta);
 /// (~1e-6 absolute at the default 2048 points for beta = 8), far below the
 /// truncation error of any windowed kernel it is applied to.
 ///
-/// Shared by the PNBS reconstructor and the hardware-mapped
-/// reconstructor's table builder so both see identical window values.
-/// Both take their table from shared(), so a table is built once per
-/// (beta, resolution) per process rather than once per reconstructor.
-/// (The windowed-sinc interpolator bakes exact window values into its own
-/// polyphase coefficient table instead.)
+/// Used by the hardware-mapped reconstructor's table builder, through
+/// shared(), so a table is built once per (beta, resolution) per process
+/// rather than once per reconstructor.  (The PNBS reconstructor and the
+/// windowed-sinc interpolator bake exact window values into their
+/// polyphase coefficient tables instead.)
 class kaiser_lut {
 public:
     explicit kaiser_lut(double beta, std::size_t resolution = 2048);

@@ -60,9 +60,8 @@ void hw_pnbs_reconstructor::build_tables() {
     const std::size_t rows = opt_.phase_steps + 1;
     const std::size_t cols = opt_.taps;
 
-    // Shared continuous-window LUT (same table the software reconstructor
-    // evaluates through), so both reconstructors see identical window
-    // values and the Bessel series runs once per LUT node, not per cell.
+    // Shared continuous-window LUT: the Bessel series runs once per LUT
+    // node, not per cell.
     const auto window_table = dsp::kaiser_lut::shared(opt_.kaiser_beta);
     const dsp::kaiser_lut& window = *window_table;
 

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
 #include "core/contracts.hpp"
 #include "core/math_util.hpp"
+#include "core/shared_table_cache.hpp"
 #include "core/units.hpp"
 #include "dsp/window.hpp"
 
@@ -125,38 +127,92 @@ double kohlenberg_kernel::required_delay_accuracy(const band_spec& band,
     return delta_f / (pi * b * static_cast<double>(k + 1));
 }
 
-// ---- reconstructor ----------------------------------------------------------
+// ---- envelope table ---------------------------------------------------------
+
+kohlenberg_table::kohlenberg_table(double f0t, double f1t, bool k_odd,
+                                   std::size_t taps, double beta)
+    : columns_(taps + 1) {
+    SDRBIST_EXPECTS(taps >= 5 && taps % 2 == 1);
+    SDRBIST_EXPECTS(beta >= 0.0 && std::isfinite(beta));
+    SDRBIST_EXPECTS(std::isfinite(f0t) && std::isfinite(f1t));
+    const std::size_t rows = phases + 3;
+    const std::size_t cols = columns_;
+    const std::size_t stride = 2 * cols;
+    values_.resize(rows * stride);
+
+    const auto half = static_cast<long>(taps / 2);
+    const double inv_span = 1.0 / (static_cast<double>(half) + 1.0);
+    const double inv_i0b = 1.0 / bessel_i0(beta);
+
+    // A_i(p - j') = A_i((1 - p) - (1 - j')) since A_i is even, so the row
+    // of phase 1 - p is the row of phase p with its columns reversed:
+    // only the lower half of the phase range needs transcendentals.  The
+    // sign flips are applied afterwards; they do not mirror.
+    for (std::size_t r = 0; r < rows; ++r) {
+        double* row = values_.data() + r * stride;
+        const std::size_t r_mirror = phases + 2 - r;
+        if (r > r_mirror) {
+            const double* src = values_.data() + r_mirror * stride;
+            for (std::size_t c = 0; c < cols; ++c) {
+                row[c] = src[cols - 1 - c];
+                row[cols + c] = src[2 * cols - 1 - c];
+            }
+            continue;
+        }
+        const double p = (static_cast<double>(r) - 1.0) /
+                         static_cast<double>(phases);
+        for (std::size_t c = 0; c < cols; ++c) {
+            const double u =
+                p - static_cast<double>(static_cast<long>(c) - half);
+            const double w =
+                dsp::kaiser_window_continued(u * inv_span, beta, inv_i0b);
+            row[c] = w * sinc(f0t * u);
+            row[cols + c] = w * sinc(f1t * u);
+        }
+    }
+    // (-1)^{k·j'} on A_0, (-1)^{(k+1)·j'} on A_1: exactly one of k, k + 1
+    // is odd, and its envelope flips sign on odd offsets j'.
+    const std::size_t flipped = k_odd ? 0 : cols;
+    for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t c = 0; c < cols; ++c)
+            if (((static_cast<long>(c) - half) & 1L) != 0)
+                values_[r * stride + flipped + c] =
+                    -values_[r * stride + flipped + c];
+}
 
 namespace {
 
-/// Fused pair of dot products sharing one call (stage 2 of value()):
-/// *out_a = Σ a[i]·ca[i], *out_b = Σ b[i]·cb[i], each summed sequentially
-/// in ascending i.  This order is part of the export contract: a graded
-/// value must not depend on the host that computed it, so the loops stay
-/// plain (no lane-split accumulators).
-void dot2(const double* a, const double* ca, const double* b,
-          const double* cb, std::size_t n, double* out_a, double* out_b) {
-    double acc_a = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-        acc_a += a[i] * ca[i];
-    double acc_b = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-        acc_b += b[i] * cb[i];
-    *out_a = acc_a;
-    *out_b = acc_b;
+using table_key = std::tuple<double, double, bool, std::size_t, double>;
+
+shared_table_cache<table_key, kohlenberg_table>& table_cache() {
+    static shared_table_cache<table_key, kohlenberg_table> cache(
+        kohlenberg_table::cache_capacity);
+    return cache;
 }
 
 } // namespace
 
+std::shared_ptr<const kohlenberg_table>
+kohlenberg_table::shared(double f0t, double f1t, bool k_odd,
+                         std::size_t taps, double beta) {
+    // Checked before the lookup: a NaN key would never compare equal.
+    SDRBIST_EXPECTS(beta >= 0.0 && std::isfinite(beta));
+    SDRBIST_EXPECTS(std::isfinite(f0t) && std::isfinite(f1t));
+    return table_cache().get({f0t, f1t, k_odd, taps, beta}, [&] {
+        return kohlenberg_table(f0t, f1t, k_odd, taps, beta);
+    });
+}
+
+std::size_t kohlenberg_table::cached() { return table_cache().size(); }
+
+// ---- reconstructor ----------------------------------------------------------
+
 pnbs_reconstructor::pnbs_reconstructor(
     std::vector<double> even, std::vector<double> odd, double period,
     double t_start, const band_spec& band, double delay_hypothesis,
-    const pnbs_options& opt, std::shared_ptr<const dsp::kaiser_lut> window)
+    const pnbs_options& opt)
     : even_(std::move(even)), odd_(std::move(odd)), period_(period),
-      t_start_(t_start), kernel_(band, delay_hypothesis), opt_(opt),
-      window_(window ? std::move(window)
-                     : dsp::kaiser_lut::shared(opt.kaiser_beta)) {
-    SDRBIST_EXPECTS(window_->beta() == opt_.kaiser_beta);
+      t_start_(t_start), kernel_(band, delay_hypothesis), opt_(opt) {
     SDRBIST_EXPECTS(period_ > 0.0);
     SDRBIST_EXPECTS(even_.size() == odd_.size());
     SDRBIST_EXPECTS(opt_.taps >= 5 && opt_.taps % 2 == 1);
@@ -164,26 +220,13 @@ pnbs_reconstructor::pnbs_reconstructor(
     // The kernel assumes T = 1/B; the caller's period must match the band.
     SDRBIST_EXPECTS(approx_equal(period_ * band.bandwidth(), 1.0, 1e-9));
 
-    // Fused fast-path constants: the kernel's product form
-    //   s0(τ) = -sin(a0·τ - φ)·c0·sinc(f0·τ)/sin φ
-    // evaluated at τ = (frac - j)·T (even stream) and (j - frac)·T + D̂
-    // (odd stream) splits into per-call sines, per-tap sign flips
-    // (-1)^{k·j}, and per-tap sinc terms whose phases advance by ±π·f·T
-    // per tap — a rotation recurrence.
+    table_ = kohlenberg_table::shared(
+        kernel_.f0() * period_, kernel_.f1() * period_,
+        (kernel_.k() & 1L) != 0, opt_.taps, opt_.kaiser_beta);
     half_ = static_cast<long>(opt_.taps / 2);
-    half_span_ = static_cast<double>(half_) + 1.0;
-    const double d_hat = kernel_.delay();
-    d_frac_ = d_hat / period_;
+    d_frac_ = kernel_.delay() / period_;
     g0_ = kernel_.s0_vanishes() ? 0.0 : kernel_.c0() / kernel_.sin_phi();
     g1_ = kernel_.c1() / kernel_.sin_psi();
-    del0_ = pi * kernel_.f0() * period_;
-    del1_ = pi * kernel_.f1() * period_;
-    eps0_ = pi * kernel_.f0() * d_hat;
-    eps1_ = pi * kernel_.f1() * d_hat;
-    cd0_ = std::cos(del0_);
-    sd0_ = std::sin(del0_);
-    cd1_ = std::cos(del1_);
-    sd1_ = std::sin(del1_);
 }
 
 double pnbs_reconstructor::value(double t) const {
@@ -194,154 +237,113 @@ double pnbs_reconstructor::value(double t) const {
     const auto n_max = static_cast<long>(even_.size()) - 1;
 
     // Tap offsets j = n - centre, clamped to the records once so the tap
-    // loops below run branch-free over contiguous memory.
+    // loops run branch-free over contiguous memory.
     const long j_lo = std::max(centre - half_, 0L) - centre;
     const long j_hi = std::min(centre + half_, n_max) - centre;
     if (j_lo > j_hi)
         return 0.0;
-    const auto count = static_cast<std::size_t>(j_hi - j_lo + 1);
 
-    const bool s0_zero = kernel_.s0_vanishes();
+    // Per-point NCO factors: the carrier factor sin(a·τ - φ) at every tap
+    // differs from these only by the (-1)^{k·j} flip.  Even stream:
+    // τ = (frac - j)·T; odd stream: τ = (j - frac)·T + D̂.
     const double kd = static_cast<double>(kernel_.k());
-    const double kpd = kd + 1.0;
-
-    // Per-call NCO factors: sin(a·τ - φ) at every tap differs from these
-    // only by the (-1)^{k·j} flip, so four sines serve the whole window.
     const double thk = pi * kd * frac;
-    const double thp = pi * kpd * frac;
-    const double s0e = s0_zero ? 0.0 : -std::sin(thk - kernel_.phi()) * g0_;
+    const double thp = pi * (kd + 1.0) * frac;
+    const double s0e = -std::sin(thk - kernel_.phi()) * g0_;
     const double s1e = -std::sin(thp - kernel_.psi()) * g1_;
-    const double s0o = s0_zero ? 0.0 : std::sin(thk) * g0_;
+    const double s0o = std::sin(thk) * g0_;
     const double s1o = std::sin(thp) * g1_;
 
-    // Rotation-recurrence state for the four sinc numerators.  The even
-    // phases decrease by del as j increases; the odd phases increase.
-    const double fj0 = frac - static_cast<double>(j_lo);
-    double sn0e = std::sin(del0_ * fj0);
-    double cs0e = std::cos(del0_ * fj0);
-    double sn1e = std::sin(del1_ * fj0);
-    double cs1e = std::cos(del1_ * fj0);
-    double sn0o = std::sin(eps0_ - del0_ * fj0);
-    double cs0o = std::cos(eps0_ - del0_ * fj0);
-    double sn1o = std::sin(eps1_ - del1_ * fj0);
-    double cs1o = std::cos(eps1_ - del1_ * fj0);
-
-    const bool k_odd = (kernel_.k() & 1L) != 0;
-    const bool kp_odd = !k_odd;
-    double sk = (k_odd && (j_lo & 1L) != 0) ? -1.0 : 1.0;
-    double skp = (kp_odd && (j_lo & 1L) != 0) ? -1.0 : 1.0;
-    const double sk_step = k_odd ? -1.0 : 1.0;
-    const double skp_step = kp_odd ? -1.0 : 1.0;
-
-    // Stage 1: fill the per-tap coefficient arrays (serial recurrences).
-    static thread_local std::vector<double> ce_buf, co_buf;
-    ce_buf.resize(count);
-    co_buf.resize(count);
-    double* ce = ce_buf.data();
-    double* co = co_buf.data();
-
-    const dsp::kaiser_lut& window = *window_;
-    const double inv_span = 1.0 / half_span_;
-    for (std::size_t i = 0; i < count; ++i) {
-        const double fj =
-            frac - static_cast<double>(j_lo + static_cast<long>(i));
-        const double w_e = window(fj * inv_span);
-        const double w_o = window((fj - d_frac_) * inv_span);
-
-        const double th0e = del0_ * fj;        // π·f0·τ_even
-        const double th1e = del1_ * fj;
-        const double th0o = eps0_ - th0e;      // π·f0·τ_odd
-        const double th1o = eps1_ - th1e;
-        const double snc0e = s0_zero ? 0.0 : sn0e / th0e;
-        const double snc1e = sn1e / th1e;
-        const double snc0o = s0_zero ? 0.0 : sn0o / th0o;
-        const double snc1o = sn1o / th1o;
-
-        ce[i] = w_e * (s0e * sk * snc0e + s1e * skp * snc1e);
-        co[i] = w_o * (s0o * sk * snc0o + s1o * skp * snc1o);
-
-        // Advance the four rotations by one tap.
-        const double t0e = sn0e * cd0_ - cs0e * sd0_;
-        cs0e = cs0e * cd0_ + sn0e * sd0_;
-        sn0e = t0e;
-        const double t1e = sn1e * cd1_ - cs1e * sd1_;
-        cs1e = cs1e * cd1_ + sn1e * sd1_;
-        sn1e = t1e;
-        const double t0o = sn0o * cd0_ + cs0o * sd0_;
-        cs0o = cs0o * cd0_ - sn0o * sd0_;
-        sn0o = t0o;
-        const double t1o = sn1o * cd1_ + cs1o * sd1_;
-        cs1o = cs1o * cd1_ - sn1o * sd1_;
-        sn1o = t1o;
-
-        sk *= sk_step;
-        skp *= skp_step;
-    }
-
-    // Stage 2 prep: the sinc quotients above are ill-conditioned where the
-    // kernel argument crosses zero (at most one tap per stream); patch
-    // those taps with the exact library sinc.
-    const double d_hat = kernel_.delay();
-    {
-        const long j_e = std::llround(frac); // even-stream zero crossing
-        if (j_e >= j_lo && j_e <= j_hi) {
-            const auto i = static_cast<std::size_t>(j_e - j_lo);
-            const double fj = frac - static_cast<double>(j_e);
-            const double tau = fj * period_;
-            const double sgn_k = (k_odd && (j_e & 1L) != 0) ? -1.0 : 1.0;
-            const double sgn_kp = (kp_odd && (j_e & 1L) != 0) ? -1.0 : 1.0;
-            const double snc0 = s0_zero ? 0.0 : sinc(kernel_.f0() * tau);
-            const double snc1 = sinc(kernel_.f1() * tau);
-            ce[i] = window(fj * inv_span) *
-                    (s0e * sgn_k * snc0 + s1e * sgn_kp * snc1);
-        }
-        const long j_o = std::llround(frac - d_frac_); // odd-stream crossing
-        if (j_o >= j_lo && j_o <= j_hi) {
-            const auto i = static_cast<std::size_t>(j_o - j_lo);
-            const double fj = frac - static_cast<double>(j_o);
-            const double tau = d_hat - fj * period_;
-            const double sgn_k = (k_odd && (j_o & 1L) != 0) ? -1.0 : 1.0;
-            const double sgn_kp = (kp_odd && (j_o & 1L) != 0) ? -1.0 : 1.0;
-            const double snc0 = s0_zero ? 0.0 : sinc(kernel_.f0() * tau);
-            const double snc1 = sinc(kernel_.f1() * tau);
-            co[i] = window((fj - d_frac_) * inv_span) *
-                    (s0o * sgn_k * snc0 + s1o * sgn_kp * snc1);
-        }
-    }
-
-    // Stage 2: the fused even/odd pair of contiguous dot products.
-    const double* ev = even_.data() + (centre + j_lo);
-    const double* od = odd_.data() + (centre + j_lo);
-    double acc_e = 0.0;
-    double acc_o = 0.0;
-    dot2(ev, ce, od, co, count, &acc_e, &acc_o);
+    const double acc_e = stream_sum(even_, centre, j_lo, j_hi, frac, s0e, s1e);
+    const double acc_o =
+        stream_sum(odd_, centre, j_lo, j_hi, frac - d_frac_, s0o, s1o);
     return acc_e + acc_o;
+}
+
+double pnbs_reconstructor::stream_sum(const std::vector<double>& rec,
+                                      long centre, long j_lo, long j_hi,
+                                      double x, double s0, double s1) const {
+    // x = q + p with p in [0, 1): tap j reads column j' = j - q of phase p.
+    // Taps with |x - j| >= half + 1 lie outside the window support (the
+    // odd stream's, once D̂ exceeds T/2) and contribute nothing.
+    const double fq = std::floor(x);
+    const auto q = static_cast<long>(fq);
+    const double p = x - fq;
+    const long lo = std::max(j_lo, q - half_);
+    const long hi = std::min(j_hi, q + half_ + 1);
+    if (lo > hi)
+        return 0.0;
+
+    // The table's column signs cover (-1)^{k·j'}; (-1)^{k·q} is left.
+    if ((q & 1L) != 0) {
+        if ((kernel_.k() & 1L) != 0)
+            s0 = -s0;
+        else
+            s1 = -s1;
+    }
+
+    // Cubic Lagrange blend of the four phase rows bracketing p (nodes at
+    // -1, 0, 1, 2 in units of the phase step), with the carrier factors
+    // folded into the blend weights.
+    constexpr std::size_t phases = kohlenberg_table::phases;
+    const double xp = p * static_cast<double>(phases);
+    auto ip = static_cast<std::size_t>(xp);
+    if (ip > phases - 1)
+        ip = phases - 1;
+    const double u = xp - static_cast<double>(ip);
+    const double um = u - 1.0;
+    const double um2 = u - 2.0;
+    const double up = u + 1.0;
+    const double w0 = -u * um * um2 * (1.0 / 6.0);
+    const double w1 = up * um * um2 * 0.5;
+    const double w2 = -up * u * um2 * 0.5;
+    const double w3 = up * u * um * (1.0 / 6.0);
+    const double a0 = w0 * s0, a1 = w1 * s0, a2 = w2 * s0, a3 = w3 * s0;
+    const double b0 = w0 * s1, b1 = w1 * s1, b2 = w2 * s1, b3 = w3 * s1;
+
+    const std::size_t stride = table_->stride();
+    const std::size_t cols = table_->columns();
+    const double* r0 = table_->values().data() + ip * stride +
+                       static_cast<std::size_t>(lo - q + half_);
+    const double* r1 = r0 + stride;
+    const double* r2 = r1 + stride;
+    const double* r3 = r2 + stride;
+    const double* v = rec.data() + (centre + lo);
+    const auto n = static_cast<std::size_t>(hi - lo + 1);
+    double acc = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double coeff = a0 * r0[i] + a1 * r1[i] + a2 * r2[i] +
+                             a3 * r3[i] + b0 * r0[cols + i] +
+                             b1 * r1[cols + i] + b2 * r2[cols + i] +
+                             b3 * r3[cols + i];
+        acc += v[i] * coeff;
+    }
+    return acc;
 }
 
 double pnbs_reconstructor::value_reference(double t) const {
     const double tr = t - t_start_;
     const double pos = tr / period_;
     const auto centre = static_cast<long>(std::llround(pos));
-    const auto half = static_cast<long>(opt_.taps / 2);
     const auto n_max = static_cast<long>(even_.size()) - 1;
-    const double half_span = static_cast<double>(half) + 1.0;
+    const double half_span = static_cast<double>(half_) + 1.0;
     const double d_hat = kernel_.delay();
-    const double d_frac = d_hat / period_;
+    const double beta = opt_.kaiser_beta;
 
     double acc = 0.0;
-    for (long n = centre - half; n <= centre + half; ++n) {
+    for (long n = centre - half_; n <= centre + half_; ++n) {
         if (n < 0 || n > n_max)
             continue;
         const double nt = static_cast<double>(n) * period_;
         // Even stream: f(nT)·s(t - nT), windowed by distance in periods.
         const double u0 = (pos - static_cast<double>(n)) / half_span;
         acc += even_[static_cast<std::size_t>(n)] * kernel_.s(tr - nt) *
-               window_at(u0);
+               dsp::kaiser_window_at(u0, beta);
         // Odd stream: f(nT+D)·s(nT + D - t).
         const double u1 =
-            (pos - static_cast<double>(n) - d_frac) / half_span;
+            (pos - static_cast<double>(n) - d_frac_) / half_span;
         acc += odd_[static_cast<std::size_t>(n)] * kernel_.s(nt + d_hat - tr) *
-               window_at(u1);
+               dsp::kaiser_window_at(u1, beta);
     }
     return acc;
 }

@@ -9,7 +9,6 @@
 #include <span>
 #include <vector>
 
-#include "dsp/window.hpp"
 #include "sampling/band.hpp"
 
 namespace sdrbist::sampling {
@@ -50,9 +49,8 @@ public:
     [[nodiscard]] double delay() const { return delay_; }
     [[nodiscard]] const band_spec& band() const { return band_; }
 
-    // Product-form coefficients, exposed so reconstructors can fuse the
-    // kernel evaluation (per-tap phase recurrences instead of per-tap
-    // transcendentals).
+    // Product-form coefficients, exposed so reconstructors can split the
+    // kernel into per-point carrier factors and tabulated slow envelopes.
     [[nodiscard]] double f0() const { return f0_; }  ///< s0 sinc frequency
     [[nodiscard]] double f1() const { return f1_; }  ///< s1 sinc frequency
     [[nodiscard]] double c0() const { return c0_; }  ///< s0 envelope at t=0
@@ -100,21 +98,70 @@ struct pnbs_options {
     double kaiser_beta = 8.0; ///< window shape for kernel truncation
 };
 
+/// Polyphase table of the truncated kernel's two slow envelopes
+///   A_i(u) = w(u / (half + 1)) · sinc(f_i·T·u),   i = 0, 1,
+/// where u is the distance in periods T from the evaluation instant to a
+/// tap, half = taps / 2 and w is the exact Kaiser window (Bessel I0),
+/// continued by J0 past the support edge so that the cubic phase blend
+/// stays accurate there.  Row r holds phase p = (r - 1)/phases,
+/// r = 0 .. phases + 2 (pad rows for the blend); column c stands for the
+/// tap offset j' = c - half, c = 0 .. taps, with u = p - j'.  A row is
+/// the A_0 block then the A_1 block.  The tap sign flips of the kernel's
+/// carrier factors, (-1)^{k·j'} on A_0 and (-1)^{(k+1)·j'} on A_1, are
+/// folded into the columns.
+///
+/// The delay D̂ does not enter the table (it only shifts the odd stream's
+/// phase and the per-point carrier factors), so one table serves every
+/// delay hypothesis and both streams of a band.
+class kohlenberg_table {
+public:
+    static constexpr std::size_t phases = 256;
+
+    /// \param f0t, f1t kernel sinc frequencies times T (f0·T, f1·T)
+    /// \param k_odd    parity of the kernel index k
+    kohlenberg_table(double f0t, double f1t, bool k_odd, std::size_t taps,
+                     double beta);
+
+    /// Process-wide table for these parameters, from a cache that holds at
+    /// most `cache_capacity` tables (least recently requested evicted
+    /// first; an evicted table is rebuilt bit-identically on demand).
+    [[nodiscard]] static std::shared_ptr<const kohlenberg_table>
+    shared(double f0t, double f1t, bool k_odd, std::size_t taps,
+           double beta);
+    static constexpr std::size_t cache_capacity = 8;
+    /// Tables currently held by the cache.
+    [[nodiscard]] static std::size_t cached();
+
+    [[nodiscard]] std::size_t columns() const { return columns_; }
+    /// Doubles per row: the A_0 block then the A_1 block.
+    [[nodiscard]] std::size_t stride() const { return 2 * columns_; }
+    [[nodiscard]] const std::vector<double>& values() const { return values_; }
+    [[nodiscard]] std::size_t bytes() const {
+        return values_.size() * sizeof(double);
+    }
+
+private:
+    std::size_t columns_;
+    std::vector<double> values_;
+};
+
 /// Practical PNBS reconstructor (paper eq. (6)): evaluates
 ///   f(t) ≈ Σ_{n in window} [ f(nT)·s(t-nT) + f(nT+D̂)·s(nT+D̂-t) ]·w(·)
 /// from finite records of the two sample streams.
 ///
-/// The default evaluation path fuses s0 + s1 into per-call NCO factors plus
-/// per-tap rotation recurrences: the tap index enters the kernel's sin()
-/// arguments only through integer multiples of π·k / π·k⁺ (pure sign
-/// flips), so four sines per evaluation replace the four sines per *tap*
-/// of the textbook form, and the remaining per-tap cost is multiplies, a
-/// division and a window LUT load.  The accumulation runs as two
-/// sequential dot products over the contiguous even/odd records, in one
-/// fixed summation order on every host.  `value_reference()` retains the
-/// direct per-tap
-/// transcendental evaluation; `uniform()` calls the same fused kernel as
-/// `value()` and is therefore bit-identical to per-point evaluation.
+/// In the kernel's product form the tap index enters the carrier factors
+/// sin(a·τ - φ) only through integer multiples of π·k and π·k⁺ (pure sign
+/// flips), so each stream's coefficient at tap j is
+///   S_0·(-1)^{k·j}·A_0(x - j) + S_1·(-1)^{(k+1)·j}·A_1(x - j)
+/// with four per-point sines S (NCO factors) and the slow envelopes A_i
+/// of a shared kohlenberg_table, cubic-blended between its phase rows.
+/// x is the point's offset from its centre tap, minus D̂/T for the odd
+/// stream.  Each stream's products are summed sequentially in ascending
+/// tap order, even stream first, then the two sums are added: one fixed
+/// order on every host.  `uniform()` and `values()` call the same kernel
+/// as `value()` and are therefore bit-identical to per-point evaluation.
+/// `value_reference()` is the oracle: direct per-tap kernel
+/// transcendentals and the exact Kaiser window.
 class pnbs_reconstructor {
 public:
     /// \param even     f(t_start + n·T) record
@@ -124,14 +171,11 @@ public:
     /// \param band     assumed signal band (defines the kernel)
     /// \param delay_hypothesis D̂ used for reconstruction
     /// \param opt      taps / window
-    /// \param window   Kaiser LUT for opt.kaiser_beta; null = the
-    ///                 process-wide dsp::kaiser_lut::shared() table
     pnbs_reconstructor(std::vector<double> even, std::vector<double> odd,
                        double period, double t_start, const band_spec& band,
-                       double delay_hypothesis, const pnbs_options& opt = {},
-                       std::shared_ptr<const dsp::kaiser_lut> window = nullptr);
+                       double delay_hypothesis, const pnbs_options& opt = {});
 
-    /// Reconstructed value at absolute time t (fused fast path).
+    /// Reconstructed value at absolute time t (table-driven).
     [[nodiscard]] double value(double t) const;
 
     /// Batch evaluation (bit-identical to per-point value()).
@@ -142,9 +186,9 @@ public:
     [[nodiscard]] std::vector<double> uniform(double t0, double rate,
                                               std::size_t n) const;
 
-    /// Reference evaluation: direct per-tap kernel transcendentals
-    /// (retained, like dft_reference, so tests and benches can bound the
-    /// fused fast path's deviation).
+    /// Reference evaluation: direct per-tap kernel transcendentals and the
+    /// exact Kaiser window (retained, like dft_reference, so tests and
+    /// benches can bound the table path's deviation).
     [[nodiscard]] double value_reference(double t) const;
 
     /// Batch / uniform-grid reference evaluation.
@@ -159,7 +203,8 @@ public:
 
     [[nodiscard]] const kohlenberg_kernel& kernel() const { return kernel_; }
     [[nodiscard]] double period() const { return period_; }
-    [[nodiscard]] const dsp::kaiser_lut& window() const { return *window_; }
+    /// The envelope table this reconstructor evaluates through.
+    [[nodiscard]] const kohlenberg_table& table() const { return *table_; }
 
 private:
     std::vector<double> even_;
@@ -168,22 +213,19 @@ private:
     double t_start_;
     kohlenberg_kernel kernel_;
     pnbs_options opt_;
-    std::shared_ptr<const dsp::kaiser_lut> window_; ///< Kaiser window LUT
+    std::shared_ptr<const kohlenberg_table> table_;
 
-    // Fused fast-path constants (derived from the kernel in the ctor).
-    long half_ = 0;          ///< taps / 2
-    double half_span_ = 0.0; ///< half + 1, window normalisation
-    double d_frac_ = 0.0;    ///< D̂ / T
-    double g0_ = 0.0;        ///< c0 / sin φ (0 when s0 vanishes)
-    double g1_ = 0.0;        ///< c1 / sin ψ
-    double del0_ = 0.0;      ///< π·f0·T, per-tap phase step of the s0 sinc
-    double del1_ = 0.0;      ///< π·f1·T
-    double eps0_ = 0.0;      ///< π·f0·D̂, odd-stream phase offset
-    double eps1_ = 0.0;      ///< π·f1·D̂
-    double cd0_ = 1.0, sd0_ = 0.0; ///< cos/sin of del0 (rotation recurrence)
-    double cd1_ = 1.0, sd1_ = 0.0; ///< cos/sin of del1
+    long half_ = 0;       ///< taps / 2
+    double d_frac_ = 0.0; ///< D̂ / T
+    double g0_ = 0.0;     ///< c0 / sin φ (0 when s0 vanishes)
+    double g1_ = 0.0;     ///< c1 / sin ψ
 
-    [[nodiscard]] double window_at(double u) const { return (*window_)(u); }
+    /// One stream's sum Σ_j rec[centre + j]·coef(j) over taps
+    /// j_lo .. j_hi inside the window support, for offset x and carrier
+    /// factors s0, s1 (see the class comment).
+    [[nodiscard]] double stream_sum(const std::vector<double>& rec,
+                                    long centre, long j_lo, long j_hi,
+                                    double x, double s0, double s1) const;
 };
 
 } // namespace sdrbist::sampling

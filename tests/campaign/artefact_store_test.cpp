@@ -102,6 +102,43 @@ TEST(ByteCodec, CompressesRepetitiveData) {
     EXPECT_LT(byte_codec_compress(raw).size(), raw.size() / 10);
 }
 
+TEST(ByteCodec, RawSizeBeyondMaximumExpansionIsRejectedBeforeAllocating) {
+    // A decoded size is bounded by the payload: each token yields at most
+    // byte_codec_max_match bytes and takes at least two.  Claims beyond
+    // that are refused up front, never handed to an allocator.
+    const std::string payload = byte_codec_compress("xyz");
+    EXPECT_THROW(static_cast<void>(
+                     byte_codec_decompress(payload, std::size_t{1} << 52)),
+                 contract_violation);
+    EXPECT_THROW(static_cast<void>(byte_codec_decompress(
+                     payload, byte_codec_max_raw_size(payload.size()) + 1)),
+                 contract_violation);
+
+    // A "zip bomb": one literal byte, then a back-reference claiming 2^40
+    // copies of it.  The raw size matches what the tokens claim, so only
+    // the per-token length bound stops it.
+    std::string bomb;
+    bomb += static_cast<char>(1 << 1); // literal run of 1 byte
+    bomb += 'a';
+    std::uint64_t token = ((std::uint64_t{1} << 40) << 1) | 1;
+    while (token >= 0x80) {
+        bomb += static_cast<char>(0x80 | (token & 0x7F));
+        token >>= 7;
+    }
+    bomb += static_cast<char>(token);
+    bomb += static_cast<char>(1); // distance 1
+    EXPECT_THROW(static_cast<void>(byte_codec_decompress(
+                     bomb, (std::size_t{1} << 40) + 1)),
+                 contract_violation);
+
+    // Long runs still round-trip: the encoder splits them into tokens of
+    // at most byte_codec_max_match bytes.
+    const std::string run(3 * byte_codec_max_match + 17, 'r');
+    const std::string packed = byte_codec_compress(run);
+    EXPECT_LE(run.size(), byte_codec_max_raw_size(packed.size()));
+    EXPECT_EQ(byte_codec_decompress(packed, run.size()), run);
+}
+
 // ---- stage codec ------------------------------------------------------------
 
 TEST(StageCodec, RoundTripsEveryStageElementExact) {
@@ -264,6 +301,33 @@ TEST(StageStore, HostileHeaderNumbersAreQuarantinedMisses) {
             EXPECT_FALSE(fs::exists(path)) << field << "=" << value;
         }
     }
+    EXPECT_EQ(store.hits(), 0u);
+}
+
+TEST(StageStore, RawSizeBeyondThePayloadsExpansionIsAQuarantinedMiss) {
+    // A well-formed entry (checksum and payload size intact) whose header
+    // claims 2^52 raw bytes: the claim is refused before any allocation
+    // and the entry is quarantined like any other corrupt one.
+    const scratch_dir dir("store_raw_bytes_claim");
+    stage_artefact_store store(dir.path.string());
+    const std::uint64_t digest = 0x5AB5ull;
+    store.store_calibration(digest, small_calibration());
+    const std::string path =
+        store.path_for(digest, bist::stage::calibration);
+    std::string bytes;
+    {
+        std::ifstream in(path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    const std::string key = "\"raw_bytes\":";
+    const std::size_t begin = bytes.find(key) + key.size();
+    bytes.replace(begin, bytes.find_first_of(",}", begin) - begin,
+                  std::to_string(std::uint64_t{1} << 52));
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+
+    EXPECT_EQ(store.load_calibration(digest), nullptr);
+    EXPECT_EQ(store.quarantined(), 1u);
+    EXPECT_FALSE(fs::exists(path));
     EXPECT_EQ(store.hits(), 0u);
 }
 

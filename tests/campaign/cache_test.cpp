@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "bist/config_canonical.hpp"
+#include "bist/stages.hpp"
 #include "campaign/cache.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/export.hpp"
@@ -85,6 +86,25 @@ TEST(CacheKey, StableAcrossCallsAndProcessShaped) {
     EXPECT_EQ(key, scenario_cache::key(grid[0], scenario_config(cfg, grid[0])));
     // Distinct scenarios get distinct keys.
     EXPECT_NE(key, scenario_cache::key(grid[1], scenario_config(cfg, grid[1])));
+}
+
+TEST(CacheKey, KernelChangeInvalidatesVersionOneKeysAndDigests) {
+    // Stage input digests and the scenario-cache key of one scenario as
+    // stage_canonical_version 1 / cache_format_version 1 computed them,
+    // before the table-driven PNBS kernel moved calibration and
+    // reconstruction outputs in their last bits.  Entries stored under
+    // these keys hold the old values: none may be found again.
+    const auto cfg = small_campaign();
+    const auto grid = expand_grid(cfg);
+    const auto mat0 = scenario_config(cfg, grid[0]);
+    const std::uint64_t v1_digests[] = {
+        0xb643b33ec28b7a2bull, 0xe878a894bc5e517dull, 0x4d7aab519b39dec9ull,
+        0xf225f5174d45caaaull, 0xaee49996bf0f5407ull};
+    std::size_t i = 0;
+    for (const bist::stage s : bist::stage_order)
+        EXPECT_NE(bist::stage_input_digest(mat0, s), v1_digests[i++])
+            << bist::to_string(s);
+    EXPECT_NE(scenario_cache::key(grid[0], mat0), "679d5de28aca0e35");
 }
 
 TEST(CacheKey, MovesWithGridCoordinatesAndConfig) {

@@ -2,6 +2,8 @@
 // the bundled parsers, measured-field suppression audit.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -265,6 +267,24 @@ TEST(JsonParser, AsSizeAcceptsOnlyExactCounts) {
         EXPECT_THROW(static_cast<void>(doc.at(i).as_size()),
                      contract_violation)
             << "element " << i;
+}
+
+TEST(JsonParser, AsU64AcceptsOnlyExactCounts) {
+    const auto doc = parse_json(
+        R"([0, 7, 9007199254740992, 9007199254740994, 1e30, -1, 2.5, )"
+        R"(-0.5, "7", null])");
+    EXPECT_EQ(doc.at(std::size_t{0}).as_u64(), 0u);
+    EXPECT_EQ(doc.at(std::size_t{1}).as_u64(), 7u);
+    EXPECT_EQ(doc.at(std::size_t{2}).as_u64(), std::uint64_t{1} << 53);
+    for (std::size_t i = 3; i < doc.size(); ++i)
+        EXPECT_THROW(static_cast<void>(doc.at(i).as_u64()),
+                     contract_violation)
+            << "element " << i;
+    // Not expressible in JSON text, but a json_value can hold it.
+    EXPECT_THROW(static_cast<void>(
+                     json_value(std::numeric_limits<double>::quiet_NaN())
+                         .as_u64()),
+                 contract_violation);
 }
 
 TEST(CsvParser, HandlesQuotingAndEmptyCells) {

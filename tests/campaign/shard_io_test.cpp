@@ -174,12 +174,13 @@ TEST(ShardIo, FileHelpersAndFailureModes) {
 }
 
 TEST(ShardIo, HostileCountsFailLoudly) {
-    // Counts are checked before the cast to size_t (1e30 would be
+    // Counts are checked before the cast to an integer (1e30 would be
     // undefined behaviour): out-of-range, negative and fractional values
-    // reject the file instead of truncating.
+    // reject the file instead of truncating.  "count" is the first
+    // telemetry category's span count.
     const std::string text = result_to_json(synthetic_shard(0, 2));
     for (const std::string field : {"trials", "grid_size", "cache_hits",
-                                    "index", "attempts"}) {
+                                    "index", "attempts", "count"}) {
         for (const std::string value : {"1e30", "-1", "2.5"}) {
             std::string bad = text;
             const std::string key = "\"" + field + "\":";

@@ -3,8 +3,11 @@
 // bit-for-bit guarantees for the batch and uniform-grid entry points.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <thread>
 #include <vector>
 
 #include "core/random.hpp"
@@ -226,6 +229,43 @@ TEST(SincInterpolatorFastPath, PhaseResolutionControlsLutError) {
     EXPECT_LT(worst_fine / scale, 1e-11);
     // Even the coarse table is far below the kernel's stopband floor.
     EXPECT_LT(worst_coarse / scale, 1e-5);
+}
+
+TEST(SincInterpolatorFastPath, EqualShapesShareOneTableAcrossThreads) {
+    // Interpolators of one shape, real and complex, built from several
+    // threads at once, all evaluate through one table, and that table is
+    // bit for bit the one built directly.
+    const double fs = 100.0 * MHz;
+    const auto x = bandlimited_signal(256, fs, 0x5A);
+    const std::vector<std::complex<double>> xc(x.begin(), x.end());
+    constexpr int threads = 4;
+    std::vector<const std::vector<double>*> seen(2 * threads);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> pool;
+    for (int w = 0; w < threads; ++w)
+        pool.emplace_back([&, w] {
+            ready.fetch_add(1);
+            while (ready.load() < threads) {
+            }
+            const real_interpolator r(x, fs, 24, 9.25, 512);
+            const complex_interpolator c(xc, fs, 24, 9.25, 512);
+            seen[2 * w] = &r.table();
+            seen[2 * w + 1] = &c.table();
+        });
+    for (auto& t : pool)
+        t.join();
+
+    const real_interpolator a(x, fs, 24, 9.25, 512);
+    for (const auto* table : seen)
+        EXPECT_EQ(table, &a.table());
+    const auto direct = dsp::sinc_polyphase_table(24, 9.25, 512);
+    ASSERT_EQ(direct.size(), a.table().size());
+    EXPECT_EQ(std::memcmp(direct.data(), a.table().data(),
+                          direct.size() * sizeof(double)),
+              0);
+    // Another shape is another table.
+    const real_interpolator other(x, fs, 24, 9.5, 512);
+    EXPECT_NE(&other.table(), &a.table());
 }
 
 TEST(SincInterpolatorFastPath, StopbandFloorPreserved) {

@@ -1,7 +1,8 @@
-// Accuracy regression for the fused PNBS fast path (per-call NCO factors,
-// per-tap rotation recurrences) against the retained transcendental
-// reference, across a delay × taps grid, plus the uniform()/value()
-// bit-for-bit guarantee and the forbidden-delay drift fix.
+// Accuracy regression for the table-driven PNBS path (per-point NCO
+// factors, cubic-blended envelope table) against the exact-window
+// transcendental reference, across a delay × taps grid, plus the
+// uniform()/value() bit-for-bit guarantee, the summation-order oracle and
+// the forbidden-delay drift fix.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -108,8 +109,8 @@ TEST(PnbsFastPath, MatchesReferenceAtRecordEdges) {
 }
 
 TEST(PnbsFastPath, MatchesReferenceAtSampleInstantsAndMidpoints) {
-    // frac = 0 (the ill-conditioned sinc quotient, patched with the exact
-    // library sinc) and frac = ±0.5 (the tap-window boundary).
+    // frac = 0 (a table node, where the sinc argument crosses zero) and
+    // frac = ±0.5 (the tap-window boundary).
     const band_spec band = band_around(1.0 * GHz, 90.0 * MHz);
     const double period = 1.0 / band.bandwidth();
     const std::size_t n = 300;
@@ -172,14 +173,15 @@ TEST(PnbsFastPath, BatchValuesBitIdenticalToPerPoint) {
 }
 
 // Summation-order oracle.  value() is linear in the two records, so the
-// stage-2 coefficient it applies to even[n] (odd[n]) at instant t is
+// blended table coefficient it applies to even[n] (odd[n]) at instant t is
 // exactly what a reconstructor over a one-hot even (odd) record returns:
 // one non-zero product summed with exact zeros.  Re-summing record ×
 // coefficient sequentially in ascending n, even stream then odd stream,
 // must then reproduce value(t) bit for bit.  Any other accumulation order
-// (lane-split partial sums, reversed loops) rounds differently on random
-// records and fails here.
-TEST(PnbsFastPath, StageTwoMatchesSequentialSumOracleElementExact) {
+// (lane-split partial sums, reversed loops, per-envelope dot products
+// combined afterwards) rounds differently on random records and fails
+// here.
+TEST(PnbsFastPath, TableSumMatchesSequentialSumOracleElementExact) {
     const band_spec band = band_around(1.0 * GHz, 90.0 * MHz);
     const double period = 1.0 / band.bandwidth();
     const double d = 180.0 * ps;
@@ -203,7 +205,7 @@ TEST(PnbsFastPath, StageTwoMatchesSequentialSumOracleElementExact) {
 
         // From before the records to past their end, in steps that are not
         // a multiple of T: every clamped tap-window length (every loop
-        // tail) occurs, as do the exact-sinc patched taps.
+        // tail) occurs, on both sides of every table phase node.
         const double margin = static_cast<double>(taps / 2) + 2.0;
         for (double pos = -margin; pos < static_cast<double>(n) + margin;
              pos += 0.137) {

@@ -3,8 +3,8 @@
 // length, delay hypothesis),
 //
 //  * uniform() and values() stay bit-identical to per-point value();
-//  * the fused fast path stays within its accuracy envelope of the
-//    per-tap transcendental reference.
+//  * the table-driven path stays within its accuracy envelope of the
+//    per-tap transcendental, exact-window reference.
 //
 // Configurations are drawn from a seeded rng, so failures reproduce; the
 // draw is rejected (and redrawn) only when the delay hypothesis lands on a
@@ -113,8 +113,8 @@ TEST(PnbsProperty, FastPathTracksReference) {
                 worst, std::abs(recon.value(t) - recon.value_reference(t)));
         }
         // Random (non-bandlimited) records: the envelope is looser than
-        // the curated fastpath suites but still pins the fused evaluation
-        // to the transcendental reference.
+        // the curated fastpath suites but still pins the table-driven
+        // evaluation to the transcendental reference.
         EXPECT_LT(worst, 1e-8) << "config=" << config << " taps=" << s.taps;
     }
 }

@@ -2,8 +2,11 @@
 // multitone signals from two uniform sample streams (paper eq. (6)).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <thread>
 
 #include "core/contracts.hpp"
 #include "core/random.hpp"
@@ -193,7 +196,7 @@ TEST(PnbsReconstructor, ValidSpanIsInsideRecord) {
     EXPECT_LT(recon.valid_begin(), recon.valid_end());
 }
 
-TEST(PnbsReconstructor, EqualBetaSharesOneKaiserTable) {
+TEST(PnbsReconstructor, EqualKeysShareOneKernelTable) {
     const band_spec band = band_around(1.0 * GHz, 90.0 * MHz);
     const double t_period = 1.0 / band.bandwidth();
     const double d = 180.0 * ps;
@@ -204,33 +207,113 @@ TEST(PnbsReconstructor, EqualBetaSharesOneKaiserTable) {
     const auto streams = sample_streams(sig, 0.0, t_period, d, n);
     const pnbs_options opt{61, 7.5};
 
+    // The delay hypothesis is not part of the table: every LMS hypothesis
+    // over one band evaluates through one table.
     const pnbs_reconstructor a(streams.even, streams.odd, t_period, 0.0, band,
                                d, opt);
     const pnbs_reconstructor b(streams.even, streams.odd, t_period, 0.0, band,
-                               d, opt);
-    const pnbs_reconstructor owner(
-        streams.even, streams.odd, t_period, 0.0, band, d, opt,
-        std::make_shared<const dsp::kaiser_lut>(opt.kaiser_beta));
-    EXPECT_EQ(&a.window(), &b.window());
-    EXPECT_NE(&a.window(), &owner.window());
+                               d + 23.0 * ps, opt);
+    EXPECT_EQ(&a.table(), &b.table());
 
-    std::vector<double> t(257);
-    for (std::size_t i = 0; i < t.size(); ++i)
-        t[i] = gen.uniform(a.valid_begin(), a.valid_end());
-    const auto va = a.values(t);
-    const auto vb = b.values(t);
-    const auto vo = owner.values(t);
-    for (std::size_t i = 0; i < t.size(); ++i) {
-        EXPECT_EQ(va[i], vo[i]) << i;
-        EXPECT_EQ(vb[i], vo[i]) << i;
+    // Another window shape or another band is another table.
+    const pnbs_reconstructor other_beta(streams.even, streams.odd, t_period,
+                                        0.0, band, d, {61, 8.5});
+    EXPECT_NE(&a.table(), &other_beta.table());
+    const band_spec shifted = band_around(1.013 * GHz, 90.0 * MHz);
+    const pnbs_reconstructor other_band(streams.even, streams.odd, t_period,
+                                        0.0, shifted, d, opt);
+    EXPECT_NE(&a.table(), &other_band.table());
+
+    // The shared table is exactly the table built directly from the key.
+    const sampling::kohlenberg_kernel& k = a.kernel();
+    const sampling::kohlenberg_table own(k.f0() * t_period, k.f1() * t_period,
+                                         (k.k() & 1L) != 0, opt.taps,
+                                         opt.kaiser_beta);
+    ASSERT_EQ(own.values().size(), a.table().values().size());
+    EXPECT_EQ(std::memcmp(own.values().data(), a.table().values().data(),
+                          own.bytes()),
+              0);
+    EXPECT_EQ(a.table().columns(), opt.taps + 1);
+}
+
+TEST(PnbsKernelTableCache, StaysBoundedAndRebuildsEvictedTablesBitIdentically) {
+    using sampling::kohlenberg_table;
+    const std::size_t cap = kohlenberg_table::cache_capacity;
+    // Keys no other test uses: every request below is a miss.
+    auto key_table = [](std::size_t i) {
+        return kohlenberg_table::shared(0.3125 + 0.01 * static_cast<double>(i),
+                                        0.6875, i % 2 == 1, 9, 5.25);
+    };
+    const auto first = key_table(0);
+    const std::vector<double> first_values = first->values();
+    for (std::size_t i = 1; i < cap + 3; ++i) {
+        const auto t = key_table(i);
+        EXPECT_LE(kohlenberg_table::cached(), cap) << i;
+        EXPECT_NE(t.get(), first.get());
     }
+    EXPECT_EQ(kohlenberg_table::cached(), cap);
 
-    // A table built for another beta is refused.
-    EXPECT_THROW(pnbs_reconstructor(streams.even, streams.odd, t_period, 0.0,
-                                    band, d, opt,
-                                    std::make_shared<const dsp::kaiser_lut>(
-                                        opt.kaiser_beta + 1.0)),
-                 contract_violation);
+    // The first key was the least recently requested: it was evicted, so a
+    // new request rebuilds it, bit for bit.
+    const auto rebuilt = key_table(0);
+    EXPECT_NE(rebuilt.get(), first.get());
+    ASSERT_EQ(rebuilt->values().size(), first_values.size());
+    EXPECT_EQ(std::memcmp(rebuilt->values().data(), first_values.data(),
+                          rebuilt->bytes()),
+              0);
+    // And the most recent key is still cached.
+    EXPECT_EQ(key_table(cap + 2).get(), key_table(cap + 2).get());
+}
+
+TEST(PnbsKernelTableCache, ConcurrentConstructionSharesTables) {
+    // Reconstructors built from several threads at once over a few bands:
+    // every thread must see the same table per band and evaluate to the
+    // same values as a single-threaded reconstructor.
+    const std::size_t n = 200;
+    const pnbs_options opt{31, 6.25};
+    std::vector<band_spec> bands;
+    for (int i = 0; i < 3; ++i)
+        bands.push_back(band_around((0.8 + 0.1 * i) * GHz, 70.0 * MHz));
+    rng gen(0x7AB1E);
+    const auto even = gen.uniform_vector(n, -1.0, 1.0);
+    const auto odd = gen.uniform_vector(n, -1.0, 1.0);
+    auto build = [&](std::size_t b, double d) {
+        const double period = 1.0 / bands[b].bandwidth();
+        return pnbs_reconstructor(even, odd, period, 0.0, bands[b], d, opt);
+    };
+    const double d0 = 150.0 * ps;
+    const double probe_t = 100.3 / bands[0].bandwidth();
+
+    constexpr int threads = 4;
+    std::vector<std::vector<const sampling::kohlenberg_table*>> seen(threads);
+    std::vector<std::vector<double>> values(threads);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> pool;
+    for (int w = 0; w < threads; ++w)
+        pool.emplace_back([&, w] {
+            ready.fetch_add(1);
+            while (ready.load() < threads) {
+            }
+            for (int rep = 0; rep < 5; ++rep)
+                for (std::size_t b = 0; b < bands.size(); ++b) {
+                    const auto r = build(b, d0 + 3.0 * ps * rep);
+                    seen[w].push_back(&r.table());
+                    values[w].push_back(r.value(probe_t));
+                }
+        });
+    for (auto& t : pool)
+        t.join();
+
+    for (int w = 0; w < threads; ++w) {
+        ASSERT_EQ(seen[w].size(), 15u);
+        for (std::size_t i = 0; i < seen[w].size(); ++i) {
+            EXPECT_EQ(seen[w][i], seen[0][i]) << "thread " << w << " i " << i;
+            const std::size_t b = i % bands.size();
+            const int rep = static_cast<int>(i / bands.size());
+            EXPECT_EQ(values[w][i],
+                      build(b, d0 + 3.0 * ps * rep).value(probe_t));
+        }
+    }
 }
 
 TEST(PnbsReconstructor, RejectsMismatchedPeriodAndBand) {
