@@ -1,11 +1,10 @@
 /// \file config_canonical.hpp
 /// \brief Canonical text serialisation of a materialised bist_config.
 ///
-/// The campaign result cache must key a scenario by *what would be
-/// computed*: the fully materialised engine configuration (preset applied,
-/// fault injected, seeds and perturbations derived).  Two scenarios with
-/// byte-identical canonical text are guaranteed to produce bit-identical
-/// reports, so a cache hit can stand in for an engine run.
+/// Persistent results must be keyed by *what would be computed*: the fully
+/// materialised engine configuration (preset applied, fault injected,
+/// seeds and perturbations derived).  Two scenarios with byte-identical
+/// canonical text are guaranteed to produce bit-identical reports.
 ///
 /// Canonical form rules:
 ///   - one `key=value` line per leaf field, fixed order, '\n' separated;
@@ -15,7 +14,7 @@
 ///     serialisation version);
 ///   - a leading `canon=vN` line versions the serialisation itself — any
 ///     change to the field set or rendering MUST bump it, which moves every
-///     cache key and naturally invalidates stale on-disk entries.
+///     digest and naturally invalidates stale on-disk entries.
 #pragma once
 
 #include <cstdint>
@@ -32,9 +31,8 @@ inline constexpr int canonical_config_version = 1;
 /// Render the configuration in canonical text form.
 [[nodiscard]] std::string canonical_config_text(const bist_config& config);
 
-/// FNV-1a digest of `canonical_config_text` (convenience for diagnostics;
-/// the campaign cache mixes this with grid coordinates, see
-/// campaign/cache.hpp).
+/// FNV-1a digest of `canonical_config_text` (convenience for
+/// diagnostics).
 [[nodiscard]] std::uint64_t config_digest(const bist_config& config);
 
 // ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@
 #include "bist/config_canonical.hpp"
 #include "campaign/artefact_store/byte_codec.hpp"
 #include "campaign/artefact_store/stage_codec.hpp"
-#include "campaign/cache.hpp" // quarantine_file
+#include "campaign/shard_io.hpp" // quarantine_file
 #include "core/contracts.hpp"
 #include "core/fault_injection.hpp"
 #include "core/hash.hpp"
@@ -30,6 +30,8 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr const char* store_extension = ".sab";
+/// Entry kind of finished scenario outcomes (the others are stage names).
+constexpr const char* report_kind = "report";
 
 bool is_hex_key(const std::string& stem) {
     if (stem.size() != 16)
@@ -40,29 +42,35 @@ bool is_hex_key(const std::string& stem) {
     return true;
 }
 
-/// "<16-hex>-<stage-name>" → the stage, or false when the name is not one
-/// of the five store entry names.
-bool parse_entry_stem(const std::string& stem, bist::stage& out) {
+/// "<16-hex>-<kind>" → the kind, or false when the name is not one of
+/// the store's entry names (a stage name or `report`).
+bool parse_entry_stem(const std::string& stem, std::string& kind) {
     if (stem.size() < 18 || !is_hex_key(stem.substr(0, 16)) ||
         stem[16] != '-')
         return false;
-    const std::string name = stem.substr(17);
-    for (const bist::stage s : bist::stage_order) {
-        if (bist::to_string(s) == name) {
-            out = s;
+    kind = stem.substr(17);
+    if (kind == report_kind)
+        return true;
+    for (const bist::stage s : bist::stage_order)
+        if (bist::to_string(s) == kind)
             return true;
-        }
-    }
     return false;
 }
 
-std::string entry_header(bist::stage s, std::uint64_t digest,
+std::string entry_path(const std::string& dir, std::uint64_t digest,
+                       const std::string& kind) {
+    return (fs::path(dir) /
+            (fnv1a64::hex_digest(digest) + "-" + kind + store_extension))
+        .string();
+}
+
+std::string entry_header(const std::string& kind, std::uint64_t digest,
                          std::size_t raw_bytes, const std::string& payload) {
     json_object_writer h;
     h.size_field("store_version",
                  static_cast<std::size_t>(store_format_version));
     h.size_field("codec", static_cast<std::size_t>(byte_codec_version));
-    h.string_field("stage", bist::to_string(s));
+    h.string_field("stage", kind);
     h.string_field("digest", fnv1a64::hex_digest(digest));
     h.size_field("stage_canonical_version",
                  static_cast<std::size_t>(bist::stage_canonical_version));
@@ -107,17 +115,16 @@ stage_artefact_store::stage_artefact_store(std::string dir)
 
 std::string stage_artefact_store::path_for(std::uint64_t digest,
                                            bist::stage s) const {
-    return (fs::path(dir_) / (fnv1a64::hex_digest(digest) + "-" +
-                              bist::to_string(s) + store_extension))
-        .string();
+    return entry_path(dir_, digest, bist::to_string(s));
 }
 
-std::string stage_artefact_store::load_raw(std::uint64_t digest,
-                                           bist::stage s) {
-    const telemetry::scoped_span span(telemetry::category::cache,
+bool stage_artefact_store::load_raw(
+    std::uint64_t digest, const std::string& kind,
+    const std::function<void(const std::string&)>& decode) {
+    const telemetry::scoped_span span(telemetry::category::store,
                                       "store.load");
     fault_injection::fire(fault_injection::site::store_load);
-    const std::string path = path_for(digest, s);
+    const std::string path = entry_path(dir_, digest, kind);
     bool corrupt = false;
     {
         std::ifstream in(path, std::ios::binary);
@@ -138,7 +145,7 @@ std::string stage_artefact_store::load_raw(std::uint64_t digest,
                     // Current version: the entry must be exactly what its
                     // name claims, byte-verified.
                     SDRBIST_EXPECTS(header.at("stage").as_string() ==
-                                    bist::to_string(s));
+                                    kind);
                     SDRBIST_EXPECTS(header.at("digest").as_string() ==
                                     fnv1a64::hex_digest(digest));
                     const std::string payload = bytes.substr(nl + 1);
@@ -147,8 +154,9 @@ std::string stage_artefact_store::load_raw(std::uint64_t digest,
                     SDRBIST_EXPECTS(
                         fnv1a64::hex_digest(fnv1a64::hash(payload)) ==
                         header.at("payload_fnv").as_string());
-                    std::string raw = byte_codec_decompress(
+                    const std::string raw = byte_codec_decompress(
                         payload, header.at("raw_bytes").as_size());
+                    decode(raw);
                     touch_mtime(path);
                     hits_.fetch_add(1, std::memory_order_relaxed);
                     telemetry::count(telemetry::counter::store_hits);
@@ -156,7 +164,7 @@ std::string stage_artefact_store::load_raw(std::uint64_t digest,
                                      std::memory_order_relaxed);
                     telemetry::count(telemetry::counter::store_bytes,
                                      raw.size());
-                    return raw;
+                    return true;
                 }
                 // Version skew is a plain miss — cache-gc's business.
             } catch (const std::exception&) {
@@ -170,18 +178,19 @@ std::string stage_artefact_store::load_raw(std::uint64_t digest,
         quarantined_.fetch_add(1, std::memory_order_relaxed);
     misses_.fetch_add(1, std::memory_order_relaxed);
     telemetry::count(telemetry::counter::store_misses);
-    return {};
+    return false;
 }
 
-void stage_artefact_store::store_raw(std::uint64_t digest, bist::stage s,
+void stage_artefact_store::store_raw(std::uint64_t digest,
+                                     const std::string& kind,
                                      const std::string& raw) {
-    const telemetry::scoped_span span(telemetry::category::cache,
+    const telemetry::scoped_span span(telemetry::category::store,
                                       "store.store");
-    // Atomic publish, mirroring scenario_cache::store: unique temp in the
-    // store directory, then rename over the final path.  Concurrent
-    // writers of the same digest produce identical content; last rename
-    // wins.  Best-effort by design — a failed publish degrades to a
-    // future miss, exactly like a real I/O failure.
+    // Atomic publish: unique temp in the store directory, then rename
+    // over the final path.  Concurrent writers of the same digest produce
+    // identical content; last rename wins.  Best-effort by design — a
+    // failed publish degrades to a future miss, exactly like a real I/O
+    // failure.
 #if defined(__unix__) || defined(__APPLE__)
     const std::uint64_t process_tag = static_cast<std::uint64_t>(::getpid());
 #else
@@ -189,14 +198,14 @@ void stage_artefact_store::store_raw(std::uint64_t digest, bist::stage s,
         std::hash<std::thread::id>{}(std::this_thread::get_id());
 #endif
     static std::atomic<std::uint64_t> sequence{0};
-    const std::string path = path_for(digest, s);
+    const std::string path = entry_path(dir_, digest, kind);
     const std::string tmp =
         path + ".tmp." + fnv1a64::hex_digest(process_tag) + "." +
         std::to_string(sequence.fetch_add(1, std::memory_order_relaxed));
     try {
         fault_injection::fire(fault_injection::site::store_store);
         const std::string payload = byte_codec_compress(raw);
-        std::string body = entry_header(s, digest, raw.size(), payload);
+        std::string body = entry_header(kind, digest, raw.size(), payload);
         body += '\n';
         body += payload;
         fault_injection::corrupt(fault_injection::site::store_store, body);
@@ -220,75 +229,99 @@ void stage_artefact_store::store_raw(std::uint64_t digest, bist::stage s,
     }
 }
 
+template <typename T, typename FromJson>
+std::shared_ptr<const T> stage_artefact_store::load_stage(
+    std::uint64_t digest, bist::stage s, FromJson from_json) {
+    std::shared_ptr<const T> out;
+    load_raw(digest, bist::to_string(s), [&](const std::string& raw) {
+        out = std::make_shared<const T>(from_json(parse_json(raw)));
+    });
+    return out;
+}
+
 std::shared_ptr<const bist::stimulus_output>
 stage_artefact_store::load_stimulus(std::uint64_t digest) {
-    const std::string raw = load_raw(digest, bist::stage::stimulus);
-    if (raw.empty())
-        return nullptr;
-    return std::make_shared<const bist::stimulus_output>(
-        stimulus_from_json(parse_json(raw)));
+    return load_stage<bist::stimulus_output>(digest, bist::stage::stimulus,
+                                             stimulus_from_json);
 }
 
 std::shared_ptr<const bist::tx_capture_output>
 stage_artefact_store::load_tx_capture(std::uint64_t digest) {
-    const std::string raw = load_raw(digest, bist::stage::tx_capture);
-    if (raw.empty())
-        return nullptr;
-    return std::make_shared<const bist::tx_capture_output>(
-        tx_capture_from_json(parse_json(raw)));
+    return load_stage<bist::tx_capture_output>(
+        digest, bist::stage::tx_capture, tx_capture_from_json);
 }
 
 std::shared_ptr<const bist::calibration_output>
 stage_artefact_store::load_calibration(std::uint64_t digest) {
-    const std::string raw = load_raw(digest, bist::stage::calibration);
-    if (raw.empty())
-        return nullptr;
-    return std::make_shared<const bist::calibration_output>(
-        calibration_from_json(parse_json(raw)));
+    return load_stage<bist::calibration_output>(
+        digest, bist::stage::calibration, calibration_from_json);
 }
 
 std::shared_ptr<const bist::reconstruction_output>
 stage_artefact_store::load_reconstruction(std::uint64_t digest) {
-    const std::string raw = load_raw(digest, bist::stage::reconstruction);
-    if (raw.empty())
-        return nullptr;
-    return std::make_shared<const bist::reconstruction_output>(
-        reconstruction_from_json(parse_json(raw)));
+    return load_stage<bist::reconstruction_output>(
+        digest, bist::stage::reconstruction, reconstruction_from_json);
 }
 
 std::shared_ptr<const bist::grading_output>
 stage_artefact_store::load_grading(std::uint64_t digest) {
-    const std::string raw = load_raw(digest, bist::stage::grading);
-    if (raw.empty())
-        return nullptr;
-    return std::make_shared<const bist::grading_output>(
-        grading_from_json(parse_json(raw)));
+    return load_stage<bist::grading_output>(digest, bist::stage::grading,
+                                            grading_from_json);
 }
 
 void stage_artefact_store::store_stimulus(std::uint64_t digest,
                                           const bist::stimulus_output& out) {
-    store_raw(digest, bist::stage::stimulus, stimulus_json(out));
+    store_raw(digest, bist::to_string(bist::stage::stimulus),
+              stimulus_json(out));
 }
 
 void stage_artefact_store::store_tx_capture(
     std::uint64_t digest, const bist::tx_capture_output& out) {
-    store_raw(digest, bist::stage::tx_capture, tx_capture_json(out));
+    store_raw(digest, bist::to_string(bist::stage::tx_capture),
+              tx_capture_json(out));
 }
 
 void stage_artefact_store::store_calibration(
     std::uint64_t digest, const bist::calibration_output& out) {
-    store_raw(digest, bist::stage::calibration, calibration_json(out));
+    store_raw(digest, bist::to_string(bist::stage::calibration),
+              calibration_json(out));
 }
 
 void stage_artefact_store::store_reconstruction(
     std::uint64_t digest, const bist::reconstruction_output& out) {
-    store_raw(digest, bist::stage::reconstruction,
+    store_raw(digest, bist::to_string(bist::stage::reconstruction),
               reconstruction_json(out));
 }
 
 void stage_artefact_store::store_grading(std::uint64_t digest,
                                          const bist::grading_output& out) {
-    store_raw(digest, bist::stage::grading, grading_json(out));
+    store_raw(digest, bist::to_string(bist::stage::grading),
+              grading_json(out));
+}
+
+std::optional<scenario_result>
+stage_artefact_store::load_report(std::uint64_t digest) {
+    std::optional<scenario_result> out;
+    load_raw(digest, report_kind, [&](const std::string& raw) {
+        const json_value doc = parse_json(raw);
+        scenario_result r;
+        r.engine_error = doc.at("engine_error").as_bool();
+        r.error = doc.at("error").as_string();
+        r.elapsed_s = doc.at("elapsed_s").as_number();
+        r.report = report_from_json(doc.at("report"));
+        out = std::move(r);
+    });
+    return out;
+}
+
+void stage_artefact_store::store_report(std::uint64_t digest,
+                                        const scenario_result& r) {
+    json_object_writer doc;
+    doc.bool_field("engine_error", r.engine_error);
+    doc.string_field("error", r.error);
+    doc.number_field("elapsed_s", r.elapsed_s);
+    doc.field("report", report_json(r.report));
+    store_raw(digest, report_kind, doc.str());
 }
 
 // ---------------------------------------------------------------------------
@@ -312,8 +345,8 @@ entry_class classify(const fs::path& path, int& version) {
         return entry_class::stray_tmp;
     if (path.extension() != store_extension)
         return entry_class::foreign;
-    bist::stage named_stage{};
-    if (!parse_entry_stem(path.stem().string(), named_stage))
+    std::string kind;
+    if (!parse_entry_stem(path.stem().string(), kind))
         return entry_class::foreign;
 
     std::ifstream in(path, std::ios::binary);
@@ -327,7 +360,7 @@ entry_class classify(const fs::path& path, int& version) {
         version = static_cast<int>(header.at("store_version").as_size());
         if (!current_versions(header))
             return entry_class::stale;
-        if (header.at("stage").as_string() != bist::to_string(named_stage) ||
+        if (header.at("stage").as_string() != kind ||
             header.at("digest").as_string() !=
                 path.stem().string().substr(0, 16))
             return entry_class::corrupt;

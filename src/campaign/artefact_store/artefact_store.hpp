@@ -1,30 +1,41 @@
 /// \file artefact_store.hpp
-/// \brief Persistent, content-addressed store of BIST stage outputs.
+/// \brief Persistent, content-addressed store of BIST stage outputs and
+///        graded scenario reports — the campaign's one persistence layer.
 ///
-/// The scenario cache (campaign/cache.hpp) keys *finished reports*; this
-/// store keys the five intermediate stage outputs of the staged pipeline
-/// by their chained input digests (bist/config_canonical.hpp).  Equal
-/// digests guarantee bit-identical stage outputs, so a store hit skips the
-/// stage compute entirely — across runs and across processes, not just
-/// within one campaign's in-memory stage pool.
+/// Entries are keyed by the chained stage input digests
+/// (bist/config_canonical.hpp).  Equal digests guarantee bit-identical
+/// outputs, so a hit stands in for the compute — across runs and across
+/// processes, not just within one campaign's in-memory stage pool.  Two
+/// entry kinds share one layout:
 ///
-/// Entry layout (`<dir>/<16-hex-digest>-<stage-name>.sab`):
+///   - a *stage* entry holds one of the five stage outputs under its
+///     stage's input digest;
+///   - a *report* entry holds a finished scenario's outcome (report,
+///     engine_error, error, elapsed_s) under the grading stage's input
+///     digest.  That digest chains every stage slice, so it covers the
+///     whole materialised config except the preset name: presets that
+///     differ only by name share one entry, and the reader restores the
+///     name.  A warm campaign serves every scenario from one report entry
+///     and does no stage work at all.
+///
+/// Entry layout (`<dir>/<16-hex-digest>-<kind>.sab`, kind = a stage name
+/// or `report`):
 ///
 ///   one JSON header line
-///     {"store_version":V,"codec":C,"stage":"...","digest":"...",
+///     {"store_version":V,"codec":C,"stage":"<kind>","digest":"...",
 ///      "stage_canonical_version":S,"raw_bytes":N,"payload_bytes":M,
 ///      "payload_fnv":"..."}\n
 ///   followed by exactly M bytes of byte_codec-compressed payload — the
 ///   compressed form of the stage_codec JSON serialisation (N raw bytes).
 ///
-/// Load semantics mirror the scenario cache: a missing file is a plain
-/// miss; version skew (store_version, codec, stage_canonical_version) is a
-/// plain miss that stays put for `cache-gc`; anything corrupt (garbled
-/// header, size or checksum mismatch, name/content disagreement, payload
-/// that fails to decompress or decode) is quarantined into
-/// `<dir>/quarantine/` and read as a miss.  Publishes are atomic
-/// (unique temp + rename) and best-effort.  Hits touch the entry's mtime
-/// (best-effort) so GC can evict least-recently-used entries first.
+/// Load semantics: a missing file is a plain miss; version skew
+/// (store_version, codec, stage_canonical_version) is a plain miss that
+/// stays put for `cache-gc`; anything corrupt (garbled header, size or
+/// checksum mismatch, name/content disagreement, payload that fails to
+/// decompress or decode) is quarantined into `<dir>/quarantine/` and read
+/// as a miss.  Publishes are atomic (unique temp + rename) and
+/// best-effort.  Hits touch the entry's mtime (best-effort) so GC can
+/// evict least-recently-used entries first.
 ///
 /// Telemetry: counters `store.hits` / `store.misses` / `store.bytes` (raw
 /// bytes served by hits) are bumped at the same sites as the store's own
@@ -34,10 +45,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "bist/pipeline.hpp"
+#include "campaign/campaign.hpp"
 
 namespace sdrbist::campaign {
 
@@ -45,10 +59,10 @@ namespace sdrbist::campaign {
 /// Any change to either MUST bump this so stale entries read as misses.
 inline constexpr int store_format_version = 1;
 
-/// Compressed on-disk implementation of bist::stage_snapshot_store.
-/// Thread-safe: concurrent loads/stores from any number of sessions and
-/// processes sharing the directory are safe (atomic publish, last rename
-/// wins with identical content).
+/// Compressed on-disk implementation of bist::stage_snapshot_store, plus
+/// the campaign's report entries.  Thread-safe: concurrent loads/stores
+/// from any number of sessions and processes sharing the directory are
+/// safe (atomic publish, last rename wins with identical content).
 class stage_artefact_store final : public bist::stage_snapshot_store {
 public:
     /// Opens (creating if needed) the store directory.  Throws
@@ -77,7 +91,17 @@ public:
     void store_grading(std::uint64_t digest,
                        const bist::grading_output& out) override;
 
-    /// File path an entry lives at.
+    /// The finished scenario filed under grading digest `digest`.  Only
+    /// `report`, `engine_error`, `error` and `elapsed_s` are meaningful:
+    /// the caller owns the scenario coordinates and the preset name.
+    /// nullopt on a miss.  Not part of bist::stage_snapshot_store: the
+    /// bist layer never sees finished scenarios.
+    [[nodiscard]] std::optional<scenario_result>
+    load_report(std::uint64_t digest);
+    /// Persist a deterministic scenario outcome under its grading digest.
+    void store_report(std::uint64_t digest, const scenario_result& r);
+
+    /// File path a stage entry lives at.
     [[nodiscard]] std::string path_for(std::uint64_t digest,
                                        bist::stage s) const;
 
@@ -101,10 +125,16 @@ public:
     }
 
 private:
-    /// Read + verify + decompress one entry; empty on miss (counted).
-    [[nodiscard]] std::string load_raw(std::uint64_t digest, bist::stage s);
+    /// Read, verify, decompress and `decode` one entry of `kind`; false
+    /// on a miss (counted).  An entry `decode` throws on is corrupt.
+    bool load_raw(std::uint64_t digest, const std::string& kind,
+                  const std::function<void(const std::string&)>& decode);
+    /// load_raw + decode into a typed stage snapshot (null on a miss).
+    template <typename T, typename FromJson>
+    std::shared_ptr<const T> load_stage(std::uint64_t digest, bist::stage s,
+                                        FromJson from_json);
     /// Compress + atomically publish one entry (best-effort).
-    void store_raw(std::uint64_t digest, bist::stage s,
+    void store_raw(std::uint64_t digest, const std::string& kind,
                    const std::string& raw);
 
     std::string dir_;
@@ -119,7 +149,7 @@ private:
 // ---------------------------------------------------------------------------
 
 /// One pass over a store directory, classifying every file the store's
-/// naming scheme owns (same taxonomy as cache_dir_stats).
+/// naming scheme owns (stage and report entries alike).
 struct store_dir_stats {
     std::size_t entries = 0;   ///< readable, current-version entries
     std::size_t stale = 0;     ///< version-skewed (read as plain misses)

@@ -494,4 +494,64 @@ bist::grading_output grading_from_json(const json_value& v) {
     return g;
 }
 
+// ---------------------------------------------------------------------------
+// Graded report
+// ---------------------------------------------------------------------------
+
+std::string report_json(const bist::bist_report& r) {
+    json_object_writer o;
+    o.string_field("preset_name", r.preset_name);
+    o.number_field("carrier_hz", r.carrier_hz);
+    o.field("skew", skew_json(r.skew));
+    o.number_field("programmed_delay_s", r.programmed_delay_s);
+    o.bool_field("dual_rate_conditions_ok", r.dual_rate_conditions_ok);
+    o.number_field("max_search_delay_s", r.max_search_delay_s);
+    o.number_field("slow_band_offset_hz", r.slow_band_offset_hz);
+    o.number_field("fast_band_offset_hz", r.fast_band_offset_hz);
+    o.number_field("carrier_nudge_hz", r.carrier_nudge_hz);
+    o.number_field("plan_discrimination", r.plan_discrimination);
+    o.field("mask", mask_json(r.mask));
+    o.field("evm", evm_json(r.evm));
+    o.number_field("evm_limit_percent", r.evm_limit_percent);
+    o.bool_field("evm_pass", r.evm_pass);
+    o.number_field("measured_output_rms", r.measured_output_rms);
+    o.number_field("min_output_rms", r.min_output_rms);
+    o.bool_field("power_pass", r.power_pass);
+    o.number_field("acpr_main_power", r.acpr.main_power);
+    o.number_field("acpr_lower_dbc", r.acpr.lower_dbc);
+    o.number_field("acpr_upper_dbc", r.acpr.upper_dbc);
+    o.number_field("acpr_limit_dbc", r.acpr_limit_dbc);
+    o.bool_field("acpr_pass", r.acpr_pass);
+    o.number_field("occupied_bw_hz", r.occupied_bw_hz);
+    return o.str();
+}
+
+bist::bist_report report_from_json(const json_value& v) {
+    bist::bist_report r;
+    r.preset_name = v.at("preset_name").as_string();
+    r.carrier_hz = num_or_nan(v.at("carrier_hz"));
+    r.skew = skew_from_json(v.at("skew"));
+    r.programmed_delay_s = num_or_nan(v.at("programmed_delay_s"));
+    r.dual_rate_conditions_ok = v.at("dual_rate_conditions_ok").as_bool();
+    r.max_search_delay_s = num_or_nan(v.at("max_search_delay_s"));
+    r.slow_band_offset_hz = num_or_nan(v.at("slow_band_offset_hz"));
+    r.fast_band_offset_hz = num_or_nan(v.at("fast_band_offset_hz"));
+    r.carrier_nudge_hz = num_or_nan(v.at("carrier_nudge_hz"));
+    r.plan_discrimination = num_or_nan(v.at("plan_discrimination"));
+    r.mask = mask_from_json(v.at("mask"));
+    r.evm = evm_from_json(v.at("evm"));
+    r.evm_limit_percent = num_or_nan(v.at("evm_limit_percent"));
+    r.evm_pass = v.at("evm_pass").as_bool();
+    r.measured_output_rms = num_or_nan(v.at("measured_output_rms"));
+    r.min_output_rms = num_or_nan(v.at("min_output_rms"));
+    r.power_pass = v.at("power_pass").as_bool();
+    r.acpr.main_power = num_or_nan(v.at("acpr_main_power"));
+    r.acpr.lower_dbc = num_or_nan(v.at("acpr_lower_dbc"));
+    r.acpr.upper_dbc = num_or_nan(v.at("acpr_upper_dbc"));
+    r.acpr_limit_dbc = num_or_nan(v.at("acpr_limit_dbc"));
+    r.acpr_pass = v.at("acpr_pass").as_bool();
+    r.occupied_bw_hz = num_or_nan(v.at("occupied_bw_hz"));
+    return r;
+}
+
 } // namespace sdrbist::campaign

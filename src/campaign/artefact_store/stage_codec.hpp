@@ -1,9 +1,9 @@
 /// \file stage_codec.hpp
 /// \brief Lossless JSON serialisation of the five `stages.hpp` stage
-///        outputs — the raw payload the stage-artefact store compresses.
+///        outputs and the graded report — the raw payloads the
+///        stage-artefact store compresses.
 ///
-/// Same fidelity rules as the scenario-cache report codec (cache.cpp):
-/// doubles in shortest round-trip form (bijective on every platform),
+/// Doubles in shortest round-trip form (bijective on every platform),
 /// complex vectors as flat `[re,im,...]` arrays, 64-bit integers as
 /// decimal strings, NaN/inf through JSON `null` back to quiet NaN.  Every
 /// `X_from_json(parse_json(X_json(x)))` recovers `x` element-exactly —
@@ -22,6 +22,7 @@
 
 #include <string>
 
+#include "bist/report.hpp"
 #include "bist/stages.hpp"
 #include "campaign/export.hpp"
 
@@ -46,5 +47,11 @@ reconstruction_from_json(const json_value& v);
 
 [[nodiscard]] std::string grading_json(const bist::grading_output& g);
 [[nodiscard]] bist::grading_output grading_from_json(const json_value& v);
+
+/// A full bist_report — the store's `report` entries, shard files and the
+/// journal all carry it in this form.
+[[nodiscard]] std::string report_json(const bist::bist_report& report);
+/// Throws contract_violation on missing fields or kind mismatches.
+[[nodiscard]] bist::bist_report report_from_json(const json_value& v);
 
 } // namespace sdrbist::campaign

@@ -18,10 +18,10 @@
 #include "bist/config_canonical.hpp"
 #include "bist/pipeline.hpp"
 #include "campaign/artefact_store/artefact_store.hpp"
-#include "campaign/cache.hpp"
 #include "campaign/journal.hpp"
 #include "core/contracts.hpp"
 #include "core/fault_injection.hpp"
+#include "core/hash.hpp"
 #include "core/random.hpp"
 #include "core/task_scheduler.hpp"
 #include "core/telemetry.hpp"
@@ -91,21 +91,22 @@ void aggregate(campaign_result& out) {
 // keeps one slot per digest that has MORE than one consumer.  The task-DAG
 // schedule fills the slots: a dedicated owner node per slot computes the
 // stage before any consumer runs (graph dependency), so consumers `peek`
-// the finished snapshot without ever blocking.  Cache probes register
-// per-slot demand first, letting owners skip stages no pending consumer
-// needs, and the lowest-indexed demander is *credited*: its adoption
-// stands in for the compute in the reuse accounting, so adopted/computed
-// totals stay a pure function of the grid, independent of thread count.
+// the finished snapshot without ever blocking.  Report probes (with a
+// stage-artefact store) register per-slot demand first, letting owners
+// skip stages no pending consumer needs, and the lowest-indexed demander
+// is *credited*: its adoption stands in for the compute in the reuse
+// accounting, so adopted/computed totals stay a pure function of the grid
+// (and of which reports the store holds), independent of thread count.
 //
 // With a stage-artefact store configured, the owner's compute consults
 // the store first — a hit publishes the decoded snapshot and still counts
 // as the slot's one compute, so the reuse accounting is identical with
-// the store cold, warm, or disabled.
+// the store cold or disabled.
 //
-// Every consumer — including ones served from the scenario result cache,
-// which never touch the pool — releases its claim when its scenario
-// finishes, and the slot is freed with the last release, so retained
-// memory is bounded by the overlap that is still live.
+// Every consumer — including ones served from a report entry, which never
+// touch the pool — releases its claim when its scenario finishes, and the
+// slot is freed with the last release, so retained memory is bounded by
+// the overlap that is still live.
 // ---------------------------------------------------------------------------
 
 /// The shareable prefix of the pipeline (grading is always terminal).
@@ -115,7 +116,7 @@ constexpr std::array<bist::stage, 4> shareable_stages{
 
 /// Outcome of a DAG owner node's publish (see stage_slot_map::publish).
 enum class publish_status {
-    skipped,  ///< no pending consumer demanded the slot (warm cache)
+    skipped,  ///< no pending consumer demanded the slot (warm store)
     computed, ///< snapshot published; counts the slot's one compute
     halted,   ///< the flow never reaches this stage; null published
     failed,   ///< compute threw; consumers rethrow it on attempt 1
@@ -133,7 +134,7 @@ public:
 
     /// End of plan phase: digests with a single consumer are dropped —
     /// they would cost retention without ever being reused.  With
-    /// `auto_demand` (no cache probes) every slot is marked demanded up
+    /// `auto_demand` (no report probes) every slot is marked demanded up
     /// front and the lowest planned consumer is credited.
     void finalise_plan(bool auto_demand) {
         for (auto it = expected_.begin(); it != expected_.end();) {
@@ -157,8 +158,8 @@ public:
         return expected_.find(digest) != expected_.end();
     }
 
-    /// Probe phase: consumer `index` announces it was not served by the
-    /// scenario cache and will adopt this slot.  Runs strictly before the
+    /// Probe phase: consumer `index` announces it was not served by a
+    /// report entry and will adopt this slot.  Runs strictly before the
     /// slot's owner node (graph dependency).  No-op for un-pooled digests.
     void demand(std::uint64_t digest, std::size_t index) {
         const std::lock_guard<std::mutex> lock(mutex_);
@@ -171,7 +172,7 @@ public:
 
     /// Owner node: run `compute` and publish its snapshot (or the
     /// exception it threw) exactly once, before any consumer peeks.
-    /// Undemanded slots (every consumer was a cache hit) skip the compute
+    /// Undemanded slots (every consumer was a report hit) skip the compute
     /// so a warm run does no stage work.
     template <typename Fn>
     publish_status publish(std::uint64_t digest, Fn&& compute) {
@@ -582,9 +583,74 @@ campaign_runner::campaign_runner(campaign_config config)
     SDRBIST_EXPECTS(!config_.resume || !config_.journal_path.empty());
 }
 
-campaign_result campaign_runner::run(const run_hooks& hooks) const {
+namespace {
+
+/// The report entry key of a materialised scenario: the grading stage's
+/// input digest.  It chains every stage slice, so it covers everything
+/// that decides the report except the preset name.
+std::uint64_t report_key(const bist::bist_config& materialised) {
+    return bist::stage_input_digest(materialised, bist::stage::grading);
+}
+
+/// A report lookup a DAG probe node parked for its scenario's main node
+/// (written by the probe, consumed by the main, which the graph orders
+/// after it).
+struct probe_staging {
+    bool probed = false;
+    std::uint64_t key = 0;
+    std::optional<scenario_result> outcome;
+};
+
+/// One `campaign_runner::run` call, in three phases:
+///
+///  - plan: slice the grid, restore journalled rows, plan the stage pool;
+///  - execute: run every pending row's retry loop, as a task DAG when
+///    anything is pooled;
+///  - persist: as each row finishes, publish its report to the store,
+///    append it to the journal and hand it to the observers.
+///
+/// The stage-artefact store takes part once per phase: its report probes
+/// settle the pool's demand (plan), a report hit replaces all stage work
+/// (execute), and a deterministic outcome is published (persist).
+class campaign_run {
+public:
+    campaign_run(const campaign_config& cfg, const run_hooks& hooks)
+        : cfg_(cfg), hooks_(hooks) {}
+
+    campaign_result run();
+
+private:
     using clock = std::chrono::steady_clock;
 
+    void plan();
+    void restore_journal();
+    void plan_pool();
+    void execute();
+    void schedule_dag(task_scheduler& sched,
+                      const std::vector<std::size_t>& pending);
+    void run_scenario(std::size_t i);
+    void persist(std::size_t i, std::optional<std::uint64_t> key, bool hit);
+    /// Journal key of a row: the hex report key, or "" when the scenario's
+    /// config is rejected deterministically.
+    [[nodiscard]] std::string journal_key(const scenario& sc) const;
+    [[nodiscard]] bist::stage_snapshot_store* stage_store() {
+        return store_ ? &*store_ : nullptr;
+    }
+
+    const campaign_config& cfg_;
+    const run_hooks& hooks_;
+    campaign_result out_;
+    std::vector<scenario> grid_;
+    std::vector<char> done_; ///< rows restored from the journal
+    std::optional<stage_artefact_store> store_;
+    std::optional<campaign_journal> journal_;
+    int share_depth_ = 0;
+    std::vector<stage_digests> digests_; ///< empty = nothing pooled
+    stage_pool shared_;
+    std::vector<probe_staging> staged_;
+};
+
+campaign_result campaign_run::run() {
     // Telemetry window baseline: the per-run summary attached to the
     // result is the delta over this run, so concurrent/earlier activity
     // in the process does not leak in (maxima stay process-lifetime:
@@ -593,433 +659,393 @@ campaign_result campaign_runner::run(const run_hooks& hooks) const {
     const telemetry::summary telemetry_base =
         telemetry_on ? telemetry::snapshot() : telemetry::summary{};
 
-    const auto full_grid = expand_grid(config_);
-    SDRBIST_EXPECTS(!config_.lease || config_.lease->end <= full_grid.size());
-    std::vector<scenario> grid;
-    if (config_.shard.count <= 1 && !config_.lease) {
-        grid = full_grid;
-    } else {
-        for (const auto& sc : full_grid)
-            if (config_.shard.contains(sc.index) &&
-                (!config_.lease || config_.lease->contains(sc.index)))
-                grid.push_back(sc);
-    }
-
-    campaign_result out;
-    out.trials = config_.trials;
-    out.seed = config_.seed;
-    out.shard_index = config_.shard.index;
-    out.shard_count = config_.shard.count;
-    out.grid_size = full_grid.size();
-    out.preset_names.reserve(config_.presets.size());
-    for (const auto& p : config_.presets)
-        out.preset_names.push_back(p.name);
-    out.fault_names.reserve(config_.faults.size());
-    for (const auto f : config_.faults)
-        out.fault_names.push_back(bist::to_string(f));
-
-    std::optional<scenario_cache> cache;
-    if (!config_.cache_dir.empty())
-        cache.emplace(config_.cache_dir);
-    std::atomic<std::size_t> hits{0};
-    std::atomic<std::size_t> misses{0};
-
-    // Stage-artefact store: persistent stage outputs keyed by input
-    // digest.  Purely an execution knob — a hit swaps a compute for a
-    // load of the bit-identical snapshot, so every export is byte-equal
-    // with the store cold, warm, or disabled.
-    std::optional<stage_artefact_store> store;
-    if (!config_.stage_store_dir.empty())
-        store.emplace(config_.stage_store_dir);
-    bist::stage_snapshot_store* const store_ptr =
-        store ? &*store : nullptr;
-
-    out.results.resize(grid.size());
-
-    // Crash-recovery journal.  On resume, rows whose content digest still
-    // matches what this config derives are restored in place; everything
-    // else (including gave-up / timed-out rows, which are never
-    // journalled) is recomputed.  The journal writer truncates any torn
-    // trailing line from the crash before appending.
-    std::optional<campaign_journal> journal;
-    std::vector<char> done(grid.size(), 0);
-    std::size_t resumed_count = 0;
-    if (!config_.journal_path.empty()) {
-        const std::string identity = campaign_identity(config_);
-        // Cold start: --resume against a journal that does not exist yet
-        // has nothing to restore — fall through and create it fresh (the
-        // service worker loop always passes resume, first run included).
-        std::error_code journal_ec;
-        if (config_.resume &&
-            std::filesystem::exists(config_.journal_path, journal_ec)) {
-            journal_replay replay = read_journal(config_.journal_path);
-            SDRBIST_EXPECTS(replay.identity == identity);
-            std::unordered_map<std::size_t, std::size_t> local;
-            for (std::size_t i = 0; i < grid.size(); ++i)
-                local.emplace(grid[i].index, i);
-            for (auto& row : replay.rows) {
-                const auto it = local.find(row.result.sc.index);
-                if (it == local.end() || done[it->second])
-                    continue;
-                if (row.result.gave_up || row.result.timed_out)
-                    continue; // environment-dependent verdicts: recompute
-                bool valid = false;
-                try {
-                    valid = row.key ==
-                            scenario_cache::key(
-                                grid[it->second],
-                                scenario_config(config_, grid[it->second]));
-                } catch (const std::exception&) {
-                    // The config is rejected deterministically; the
-                    // journalled row must be the matching rejection (it
-                    // could never compute a key either).
-                    valid = row.key.empty() && row.result.engine_error;
-                }
-                if (!valid)
-                    continue;
-                scenario_result& slot = out.results[it->second];
-                slot = std::move(row.result);
-                slot.sc = grid[it->second];
-                done[it->second] = 1;
-                ++resumed_count;
-            }
-        }
-        journal.emplace(config_.journal_path, identity, config_.resume);
-        // Restored rows are final now — observers see them exactly like
-        // freshly-graded ones (the JSONL stream re-emits every row).
-        if (hooks.on_scenario)
-            for (std::size_t i = 0; i < grid.size(); ++i)
-                if (done[i])
-                    hooks.on_scenario(out.results[i]);
-    }
-
-    // Stage-pool plan: compute the shareable-prefix digests of every
-    // scenario this process grades, and pool only the digests more than
-    // one scenario needs.  A scenario whose materialisation throws here
-    // is left un-pooled — the worker rethrows the identical error into
-    // the scenario's result slot, exactly like the unpooled path.
-    const int share_depth =
-        config_.stage_sharing
-            ? std::min<int>(bist::stage_index(*config_.stage_sharing) + 1,
-                            static_cast<int>(shareable_stages.size()))
-            : 0;
-    std::vector<stage_digests> digests;
-    stage_pool shared;
-    if (share_depth > 0 && grid.size() > 1) {
-        const telemetry::scoped_span plan_span(telemetry::category::campaign,
-                                               "campaign.plan");
-        digests.assign(grid.size(), stage_digests{});
-        for (std::size_t i = 0; i < grid.size(); ++i) {
-            if (done[i])
-                continue; // resumed rows never consume pooled stages
-            try {
-                const bist::bist_config materialised =
-                    scenario_config(config_, grid[i]);
-                for (std::size_t k = 0; k < shareable_stages.size(); ++k)
-                    digests[i][k] = bist::stage_input_digest(
-                        materialised, shareable_stages[k]);
-                shared.expect(digests[i], share_depth, i);
-            } catch (const std::exception&) {
-                digests[i] = stage_digests{};
-            }
-        }
-        // Without cache probes every planned consumer is a real one, so
-        // slots are demanded up front.
-        shared.finalise_plan(!cache);
-    }
-    const bool pooling = !digests.empty();
-
-    // Execute the rows the journal did not already cover: each job reads
-    // the shared config and writes only its own grid-indexed slot, so
-    // thread count cannot affect any result.
-    std::vector<std::size_t> pending;
-    pending.reserve(grid.size());
-    for (std::size_t i = 0; i < grid.size(); ++i)
-        if (!done[i])
-            pending.push_back(i);
+    plan();
     const auto wall_start = clock::now();
-    if (!grid.empty()) {
+    execute();
+    out_.wall_s =
+        std::chrono::duration<double>(clock::now() - wall_start).count();
+    out_.stage_reuse_hits = shared_.hits.load();
+    out_.stage_reuse_computes = shared_.computes.load();
+    if (store_) {
+        out_.store_hits = store_->hits();
+        out_.store_misses = store_->misses();
+        out_.store_bytes = store_->bytes_served();
+        out_.quarantined += store_->quarantined();
+    }
+    if (telemetry_on)
+        out_.telemetry_summary = telemetry::since(telemetry_base);
+
+    // Aggregate in grid order (deterministic regardless of completion order).
+    aggregate(out_);
+    return std::move(out_);
+}
+
+void campaign_run::plan() {
+    const auto full_grid = expand_grid(cfg_);
+    SDRBIST_EXPECTS(!cfg_.lease || cfg_.lease->end <= full_grid.size());
+    for (const auto& sc : full_grid)
+        if (cfg_.shard.contains(sc.index) &&
+            (!cfg_.lease || cfg_.lease->contains(sc.index)))
+            grid_.push_back(sc);
+
+    out_.trials = cfg_.trials;
+    out_.seed = cfg_.seed;
+    out_.shard_index = cfg_.shard.index;
+    out_.shard_count = cfg_.shard.count;
+    out_.grid_size = full_grid.size();
+    for (const auto& p : cfg_.presets)
+        out_.preset_names.push_back(p.name);
+    for (const auto f : cfg_.faults)
+        out_.fault_names.push_back(bist::to_string(f));
+    out_.results.resize(grid_.size());
+    done_.assign(grid_.size(), 0);
+
+    // Stage-artefact store: persistent stage outputs and finished reports
+    // keyed by input digest.  Purely an execution knob — a hit swaps a
+    // compute for a load of the bit-identical result, so every export is
+    // byte-equal with the store cold, warm, or disabled.
+    if (!cfg_.stage_store_dir.empty())
+        store_.emplace(cfg_.stage_store_dir);
+    if (!cfg_.journal_path.empty())
+        restore_journal();
+    plan_pool();
+
+    if (!grid_.empty()) {
         // Never spawn more workers than there are scenarios.  Report the
         // grid-sized width even when a resume leaves fewer rows pending,
         // so a resumed run's deterministic exports match the original's.
         const std::size_t requested =
-            config_.threads ? config_.threads
-                            : task_scheduler::default_thread_count();
-        out.threads_used = std::min(requested, grid.size());
+            cfg_.threads ? cfg_.threads
+                         : task_scheduler::default_thread_count();
+        out_.threads_used = std::min(requested, grid_.size());
     }
-    // DAG cache probes park a loaded outcome here between the probe node
-    // and the scenario's main node (each slot is written by the probe and
-    // consumed by the main, which the graph orders after it).
-    struct probe_staging {
-        bool probed = false;
-        std::string key;
-        std::optional<scenario_result> outcome;
-    };
-    std::vector<probe_staging> staged;
-    if (!pending.empty()) {
-        const auto scenario_body = [&](std::size_t i) {
-            scenario_result& slot = out.results[i];
-            slot.sc = grid[i];
-            // One span covers the whole scenario, retries and backoff
-            // included — the span count per run stays one per scenario.
-            const telemetry::scoped_span scenario_span(
-                telemetry::category::scenario, "scenario", grid[i].index);
-            const auto scenario_start = clock::now();
-            std::string key;
-            bool hit = false;
-            // Retry loop: transient failures re-run the attempt with
-            // bounded deterministic backoff; contract violations are
-            // deterministic rejections and break out immediately.
-            for (std::size_t attempt = 1;; ++attempt) {
-                slot.attempts = attempt;
-                bool transient = false;
-                const auto t0 = clock::now();
-                // Only scenario materialisation and the engine run belong
-                // in the try: a throwing observer hook must propagate (and
-                // abort the campaign), never be recorded as this
-                // scenario's engine error — that would poison the cache
-                // entry.
-                try {
-                    fault_injection::fire(
-                        fault_injection::site::pool_dispatch);
-                    const bist::bist_config materialised =
-                        scenario_config(config_, grid[i]);
-                    // `key.empty()`, not `attempt == 1`: a transient
-                    // thrown before the key was derived (dispatch probe,
-                    // config materialisation, the load itself) must not
-                    // leave a later successful attempt key-less — the
-                    // retried result still gets cached below.
-                    if (cache && key.empty()) {
-                        probe_staging* probed =
-                            !staged.empty() && staged[i].probed ? &staged[i]
-                                                                : nullptr;
-                        if (probed) {
-                            // The DAG probe node already did this lookup
-                            // (it had to, to register stage demand before
-                            // the owner nodes ran) — reuse its outcome.
-                            key = probed->key;
-                        } else {
-                            key = scenario_cache::key(grid[i], materialised);
-                        }
-                        auto cached = probed ? std::move(probed->outcome)
-                                             : cache->load(key);
-                        if (cached) {
-                            // Restore the graded outcome; `elapsed_s`
-                            // keeps the original grading cost, not the
-                            // lookup cost, so `scenario_cpu_s` still
-                            // reports what the grid costs to compute.
-                            slot.report = std::move(cached->report);
-                            slot.engine_error = cached->engine_error;
-                            slot.error = std::move(cached->error);
-                            slot.elapsed_s = cached->elapsed_s;
-                            hit = true;
-                        }
-                    }
-                    if (!hit) {
-                        // A retry starts clean: only the final attempt's
-                        // outcome is this scenario's verdict.
-                        slot.engine_error = false;
-                        slot.error.clear();
-                        if (pooling) {
-                            slot.report = run_with_dag(
-                                materialised, digests[i], share_depth,
-                                shared, attempt, i, store_ptr);
-                        } else {
-                            bist::bist_session session(materialised);
-                            run_stages_with_store(session, store_ptr);
-                            slot.report = session.report();
-                        }
-                    }
-                } catch (const contract_violation& e) {
-                    // Deterministic config rejection: re-running
-                    // reproduces it, so it is final (and safe to cache).
-                    slot.engine_error = true;
-                    slot.error = e.what();
-                    telemetry::count(telemetry::counter::scenario_failures);
-                } catch (const std::exception& e) {
-                    // Possibly transient (resource exhaustion, I/O,
-                    // injected fault): candidate for a retry.
-                    slot.engine_error = true;
-                    slot.error = e.what();
-                    transient = true;
-                    telemetry::count(telemetry::counter::scenario_failures);
-                }
-                if (!hit)
-                    slot.elapsed_s =
-                        std::chrono::duration<double>(clock::now() - t0)
-                            .count();
-                if (!hit && config_.scenario_deadline_s > 0.0 &&
-                    std::chrono::duration<double>(clock::now() -
-                                                  scenario_start)
-                            .count() > config_.scenario_deadline_s) {
-                    // Over budget — failed-timeout, campaign continues.
-                    slot.timed_out = true;
-                    slot.engine_error = true;
-                    if (slot.error.empty())
-                        slot.error = "scenario deadline exceeded";
-                    break;
-                }
-                if (!transient)
-                    break;
-                if (attempt > config_.max_retries) {
-                    slot.gave_up = true;
-                    telemetry::count(telemetry::counter::scenario_gave_up);
-                    break;
-                }
-                telemetry::count(telemetry::counter::scenario_retries);
-                const double delay_ms =
-                    config_.retry_backoff_ms *
-                    static_cast<double>(
-                        1ull << std::min<std::size_t>(attempt - 1, 20));
-                slot.backoff_ms += delay_ms;
-                if (delay_ms > 0.0)
-                    std::this_thread::sleep_for(
-                        std::chrono::duration<double, std::milli>(delay_ms));
-            }
-            // Give up this scenario's claims on pooled stage results no
-            // matter how it finished (cache hit, error, success): the last
-            // claim frees the slot.
-            if (pooling)
-                shared.release(digests[i]);
-            // A gave-up or timed-out verdict is environment-dependent —
-            // never persisted, so a rerun (or resume) re-attempts it.
-            const bool deterministic = !slot.gave_up && !slot.timed_out;
-            // Hits and misses exist only where a cache was consulted.
-            if (hit) {
-                hits.fetch_add(1, std::memory_order_relaxed);
-                telemetry::count(telemetry::counter::cache_hits);
-            } else if (cache) {
-                misses.fetch_add(1, std::memory_order_relaxed);
-                telemetry::count(telemetry::counter::cache_misses);
-                if (!key.empty() && deterministic)
-                    cache->store(key, slot);
-            }
-            if (journal && deterministic) {
-                std::string journal_key = key;
-                if (journal_key.empty()) {
-                    try {
-                        journal_key = scenario_cache::key(
-                            grid[i], scenario_config(config_, grid[i]));
-                    } catch (const std::exception&) {
-                        // Deterministic rejection: journalled with an
-                        // empty key; resume re-validates the same way.
-                    }
-                }
-                journal->append(journal_key, slot);
-            }
-            if (hooks.on_scenario)
-                hooks.on_scenario(slot);
-        };
+}
 
-        task_scheduler sched(std::min(out.threads_used, pending.size()));
-        if (pooling) {
-            // Emit the campaign as a task DAG: pooled stage owners launch
-            // topologically first, scenarios adopt their published
-            // snapshots without blocking, and work stealing overlaps
-            // independent scenarios with pooled-prefix computes.
-            task_graph graph;
-            // Probe nodes (cache only): look the scenario up and, on a
-            // miss (or probe failure), register demand on its pooled
-            // prefix — so owners skip stages no pending consumer needs
-            // and a warm run does no stage work.
-            std::unordered_map<std::uint64_t, std::vector<std::size_t>>
-                level0_probes;
-            if (cache) {
-                staged.resize(grid.size());
-                for (const std::size_t i : pending) {
-                    if (shared.deepest_pooled(digests[i], share_depth) < 0)
-                        continue;
-                    const std::size_t node = graph.add([&, i] {
-                        probe_staging st;
-                        try {
-                            const bist::bist_config materialised =
-                                scenario_config(config_, grid[i]);
-                            st.key =
-                                scenario_cache::key(grid[i], materialised);
-                            st.outcome = cache->load(st.key);
-                            st.probed = true;
-                        } catch (const std::exception&) {
-                            st = {}; // the main node redoes the lookup
-                        }
-                        if (!st.probed || !st.outcome)
-                            shared.demand(digests[i], share_depth, i);
-                        staged[i] = std::move(st);
-                    });
-                    level0_probes[digests[i][0]].push_back(node);
-                }
-            }
-            // Owner nodes: one per pooled slot, level by level.  owner(k)
-            // depends on owner(k-1) of the same prefix, which transitively
-            // covers every consumer probe hung off level 0 — so a slot is
-            // published before anything peeks it, with its demand settled.
-            std::array<std::unordered_map<std::uint64_t, std::size_t>,
-                       shareable_stages.size()>
-                owner_node;
-            for (int k = 0; k < share_depth; ++k) {
-                for (const std::size_t i : pending) {
-                    if (shared.deepest_pooled(digests[i], share_depth) < k)
-                        continue;
-                    const std::uint64_t d = digests[i][k];
-                    if (owner_node[k].count(d) != 0)
-                        continue;
-                    std::vector<std::size_t> deps;
-                    if (k > 0)
-                        deps.push_back(
-                            owner_node[k - 1].at(digests[i][k - 1]));
-                    else if (cache)
-                        deps = level0_probes.at(d);
-                    // `i` is the lowest pending consumer: the owner binds
-                    // to its config (any consumer's is digest-equal).
-                    owner_node[k][d] = graph.add(
-                        [&, i, k] {
-                            run_owner_node(config_, grid[i], digests[i], k,
-                                           shared, store_ptr);
-                        },
-                        deps);
-                }
-            }
-            // Main nodes: a scenario waits only on the owner of its
-            // deepest pooled slot; the owner chain orders the rest.
-            for (const std::size_t i : pending) {
-                const int deepest =
-                    shared.deepest_pooled(digests[i], share_depth);
-                std::vector<std::size_t> deps;
-                if (deepest >= 0)
-                    deps.push_back(
-                        owner_node[static_cast<std::size_t>(deepest)].at(
-                            digests[i][static_cast<std::size_t>(deepest)]));
-                graph.add([&, i] { scenario_body(i); }, deps);
-            }
-            sched.run(std::move(graph));
-        } else {
-            // Nothing pooled: a flat dependency-free graph — every
-            // scenario runs its own session end to end.
-            sched.parallel_for(pending.size(), [&](std::size_t pi) {
-                scenario_body(pending[pi]);
-            });
+std::string campaign_run::journal_key(const scenario& sc) const {
+    try {
+        return fnv1a64::hex_digest(report_key(scenario_config(cfg_, sc)));
+    } catch (const std::exception&) {
+        return {}; // deterministic rejection: resume re-validates the same way
+    }
+}
+
+void campaign_run::restore_journal() {
+    // Crash-recovery journal.  On resume, rows whose report key still
+    // matches what this config derives are restored in place; everything
+    // else (including gave-up / timed-out rows, which are never
+    // journalled) is recomputed.  The journal writer truncates any torn
+    // trailing line from the crash before appending.
+    const std::string identity = campaign_identity(cfg_);
+    // Cold start: --resume against a journal that does not exist yet has
+    // nothing to restore — fall through and create it fresh (the service
+    // worker loop always passes resume, first run included).
+    std::error_code journal_ec;
+    if (cfg_.resume && std::filesystem::exists(cfg_.journal_path, journal_ec)) {
+        journal_replay replay = read_journal(cfg_.journal_path);
+        SDRBIST_EXPECTS(replay.identity == identity);
+        std::unordered_map<std::size_t, std::size_t> local;
+        for (std::size_t i = 0; i < grid_.size(); ++i)
+            local.emplace(grid_[i].index, i);
+        for (auto& row : replay.rows) {
+            const auto it = local.find(row.result.sc.index);
+            if (it == local.end() || done_[it->second])
+                continue;
+            if (row.result.gave_up || row.result.timed_out)
+                continue; // environment-dependent verdicts: recompute
+            // A rejected config has no key; its row must be the matching
+            // rejection.
+            if (row.key != journal_key(grid_[it->second]) ||
+                (row.key.empty() && !row.result.engine_error))
+                continue;
+            scenario_result& slot = out_.results[it->second];
+            slot = std::move(row.result);
+            slot.sc = grid_[it->second];
+            done_[it->second] = 1;
+            ++out_.resumed;
         }
     }
-    out.wall_s =
-        std::chrono::duration<double>(clock::now() - wall_start).count();
-    out.cache_hits = hits.load();
-    out.cache_misses = misses.load();
-    out.resumed = resumed_count;
-    out.quarantined = cache ? cache->quarantined() : 0;
-    out.stage_reuse_hits = shared.hits.load();
-    out.stage_reuse_computes = shared.computes.load();
-    if (store) {
-        out.store_hits = store->hits();
-        out.store_misses = store->misses();
-        out.store_bytes = store->bytes_served();
-        out.quarantined += store->quarantined();
-    }
-    if (telemetry_on)
-        out.telemetry_summary = telemetry::since(telemetry_base);
-
-    // Aggregate in grid order (deterministic regardless of completion order).
-    aggregate(out);
-    return out;
+    journal_.emplace(cfg_.journal_path, identity, cfg_.resume);
+    // Restored rows are final now — observers see them exactly like
+    // freshly-graded ones (the JSONL stream re-emits every row).
+    if (hooks_.on_scenario)
+        for (std::size_t i = 0; i < grid_.size(); ++i)
+            if (done_[i])
+                hooks_.on_scenario(out_.results[i]);
 }
+
+void campaign_run::plan_pool() {
+    // Compute the shareable-prefix digests of every scenario this process
+    // grades, and pool only the digests more than one scenario needs.  A
+    // scenario whose materialisation throws here is left un-pooled — the
+    // worker rethrows the identical error into the scenario's result
+    // slot, exactly like the unpooled path.
+    share_depth_ =
+        cfg_.stage_sharing
+            ? std::min<int>(bist::stage_index(*cfg_.stage_sharing) + 1,
+                            static_cast<int>(shareable_stages.size()))
+            : 0;
+    if (share_depth_ == 0 || grid_.size() < 2)
+        return;
+    const telemetry::scoped_span plan_span(telemetry::category::campaign,
+                                           "campaign.plan");
+    digests_.assign(grid_.size(), stage_digests{});
+    for (std::size_t i = 0; i < grid_.size(); ++i) {
+        if (done_[i])
+            continue; // resumed rows never consume pooled stages
+        try {
+            const bist::bist_config materialised =
+                scenario_config(cfg_, grid_[i]);
+            for (std::size_t k = 0; k < shareable_stages.size(); ++k)
+                digests_[i][k] = bist::stage_input_digest(
+                    materialised, shareable_stages[k]);
+            shared_.expect(digests_[i], share_depth_, i);
+        } catch (const std::exception&) {
+            digests_[i] = stage_digests{};
+        }
+    }
+    // Without a store there are no report probes: every planned consumer
+    // is a real one, so slots are demanded up front.
+    shared_.finalise_plan(!store_);
+}
+
+void campaign_run::execute() {
+    // Execute the rows the journal did not already cover: each job reads
+    // the shared config and writes only its own grid-indexed slot, so
+    // thread count cannot affect any result.
+    std::vector<std::size_t> pending;
+    for (std::size_t i = 0; i < grid_.size(); ++i)
+        if (!done_[i])
+            pending.push_back(i);
+    if (pending.empty())
+        return;
+    task_scheduler sched(std::min(out_.threads_used, pending.size()));
+    if (!digests_.empty()) {
+        schedule_dag(sched, pending);
+        return;
+    }
+    // Nothing pooled: a flat dependency-free graph — every scenario runs
+    // its own session end to end.
+    sched.parallel_for(pending.size(),
+                       [&](std::size_t pi) { run_scenario(pending[pi]); });
+}
+
+void campaign_run::schedule_dag(task_scheduler& sched,
+                                const std::vector<std::size_t>& pending) {
+    // Emit the campaign as a task DAG: pooled stage owners launch
+    // topologically first, scenarios adopt their published snapshots
+    // without blocking, and work stealing overlaps independent scenarios
+    // with pooled-prefix computes.
+    task_graph graph;
+    // Probe nodes (store only): look the scenario's report up and, on a
+    // miss (or probe failure), register demand on its pooled prefix — so
+    // owners skip stages no pending consumer needs and a warm run does no
+    // stage work.
+    std::unordered_map<std::uint64_t, std::vector<std::size_t>> level0_probes;
+    if (store_) {
+        staged_.resize(grid_.size());
+        for (const std::size_t i : pending) {
+            if (shared_.deepest_pooled(digests_[i], share_depth_) < 0)
+                continue;
+            const std::size_t node = graph.add([this, i] {
+                probe_staging st;
+                try {
+                    st.key = report_key(scenario_config(cfg_, grid_[i]));
+                    st.outcome = store_->load_report(st.key);
+                    st.probed = true;
+                } catch (const std::exception&) {
+                    st = {}; // the main node redoes the lookup
+                }
+                if (!st.probed || !st.outcome)
+                    shared_.demand(digests_[i], share_depth_, i);
+                staged_[i] = std::move(st);
+            });
+            level0_probes[digests_[i][0]].push_back(node);
+        }
+    }
+    // Owner nodes: one per pooled slot, level by level.  owner(k) depends
+    // on owner(k-1) of the same prefix, which transitively covers every
+    // consumer probe hung off level 0 — so a slot is published before
+    // anything peeks it, with its demand settled.
+    std::array<std::unordered_map<std::uint64_t, std::size_t>,
+               shareable_stages.size()>
+        owner_node;
+    for (int k = 0; k < share_depth_; ++k) {
+        for (const std::size_t i : pending) {
+            if (shared_.deepest_pooled(digests_[i], share_depth_) < k)
+                continue;
+            const std::uint64_t d = digests_[i][k];
+            if (owner_node[k].count(d) != 0)
+                continue;
+            std::vector<std::size_t> deps;
+            if (k > 0)
+                deps.push_back(owner_node[k - 1].at(digests_[i][k - 1]));
+            else if (store_)
+                deps = level0_probes.at(d);
+            // `i` is the lowest pending consumer: the owner binds to its
+            // config (any consumer's is digest-equal).
+            owner_node[k][d] = graph.add(
+                [this, i, k] {
+                    run_owner_node(cfg_, grid_[i], digests_[i], k, shared_,
+                                   stage_store());
+                },
+                deps);
+        }
+    }
+    // Main nodes: a scenario waits only on the owner of its deepest pooled
+    // slot; the owner chain orders the rest.
+    for (const std::size_t i : pending) {
+        const int deepest = shared_.deepest_pooled(digests_[i], share_depth_);
+        std::vector<std::size_t> deps;
+        if (deepest >= 0)
+            deps.push_back(owner_node[static_cast<std::size_t>(deepest)].at(
+                digests_[i][static_cast<std::size_t>(deepest)]));
+        graph.add([this, i] { run_scenario(i); }, deps);
+    }
+    sched.run(std::move(graph));
+}
+
+void campaign_run::run_scenario(std::size_t i) {
+    scenario_result& slot = out_.results[i];
+    slot.sc = grid_[i];
+    // One span covers the whole scenario, retries and backoff included —
+    // the span count per run stays one per scenario.
+    const telemetry::scoped_span scenario_span(telemetry::category::scenario,
+                                               "scenario", grid_[i].index);
+    const auto scenario_start = clock::now();
+    std::optional<std::uint64_t> key;
+    bool hit = false;
+    // Retry loop: transient failures re-run the attempt with bounded
+    // deterministic backoff; contract violations are deterministic
+    // rejections and break out immediately.
+    for (std::size_t attempt = 1;; ++attempt) {
+        slot.attempts = attempt;
+        bool transient = false;
+        const auto t0 = clock::now();
+        // Only scenario materialisation and the engine run belong in the
+        // try: a throwing observer hook must propagate (and abort the
+        // campaign), never be recorded as this scenario's engine error —
+        // that would poison the report entry.
+        try {
+            fault_injection::fire(fault_injection::site::pool_dispatch);
+            const bist::bist_config materialised =
+                scenario_config(cfg_, grid_[i]);
+            // `!key`, not `attempt == 1`: a transient thrown before the
+            // key was derived (dispatch probe, config materialisation,
+            // the load itself) must not leave a later successful attempt
+            // key-less — the retried result still gets published below.
+            if (store_ && !key) {
+                probe_staging* probed =
+                    !staged_.empty() && staged_[i].probed ? &staged_[i]
+                                                          : nullptr;
+                // The DAG probe node already did this lookup (it had to,
+                // to register stage demand before the owner nodes ran) —
+                // reuse its outcome.
+                key = probed ? probed->key : report_key(materialised);
+                auto cached = probed ? std::move(probed->outcome)
+                                     : store_->load_report(*key);
+                if (cached) {
+                    // Restore the graded outcome; `elapsed_s` keeps the
+                    // original grading cost, not the lookup cost, so
+                    // `scenario_cpu_s` still reports what the grid costs
+                    // to compute.  The key excludes the preset name, so
+                    // the entry may be another preset's: the name is
+                    // this scenario's own.
+                    slot.report = std::move(cached->report);
+                    slot.report.preset_name = materialised.preset.name;
+                    slot.engine_error = cached->engine_error;
+                    slot.error = std::move(cached->error);
+                    slot.elapsed_s = cached->elapsed_s;
+                    hit = true;
+                }
+            }
+            if (!hit) {
+                // A retry starts clean: only the final attempt's outcome
+                // is this scenario's verdict.
+                slot.engine_error = false;
+                slot.error.clear();
+                if (!digests_.empty()) {
+                    slot.report =
+                        run_with_dag(materialised, digests_[i], share_depth_,
+                                     shared_, attempt, i, stage_store());
+                } else {
+                    bist::bist_session session(materialised);
+                    run_stages_with_store(session, stage_store());
+                    slot.report = session.report();
+                }
+            }
+        } catch (const contract_violation& e) {
+            // Deterministic config rejection: re-running reproduces it,
+            // so it is final (and safe to persist).
+            slot.engine_error = true;
+            slot.error = e.what();
+            telemetry::count(telemetry::counter::scenario_failures);
+        } catch (const std::exception& e) {
+            // Possibly transient (resource exhaustion, I/O, injected
+            // fault): candidate for a retry.
+            slot.engine_error = true;
+            slot.error = e.what();
+            transient = true;
+            telemetry::count(telemetry::counter::scenario_failures);
+        }
+        if (!hit)
+            slot.elapsed_s =
+                std::chrono::duration<double>(clock::now() - t0).count();
+        if (!hit && cfg_.scenario_deadline_s > 0.0 &&
+            std::chrono::duration<double>(clock::now() - scenario_start)
+                    .count() > cfg_.scenario_deadline_s) {
+            // Over budget — failed-timeout, campaign continues.
+            slot.timed_out = true;
+            slot.engine_error = true;
+            if (slot.error.empty())
+                slot.error = "scenario deadline exceeded";
+            break;
+        }
+        if (!transient)
+            break;
+        if (attempt > cfg_.max_retries) {
+            slot.gave_up = true;
+            telemetry::count(telemetry::counter::scenario_gave_up);
+            break;
+        }
+        telemetry::count(telemetry::counter::scenario_retries);
+        const double delay_ms =
+            cfg_.retry_backoff_ms *
+            static_cast<double>(1ull << std::min<std::size_t>(attempt - 1, 20));
+        slot.backoff_ms += delay_ms;
+        if (delay_ms > 0.0)
+            std::this_thread::sleep_for(
+                std::chrono::duration<double, std::milli>(delay_ms));
+    }
+    persist(i, key, hit);
+}
+
+void campaign_run::persist(std::size_t i, std::optional<std::uint64_t> key,
+                           bool hit) {
+    const scenario_result& slot = out_.results[i];
+    // Give up this scenario's claims on pooled stage results no matter how
+    // it finished (report hit, error, success): the last claim frees the
+    // slot.
+    if (!digests_.empty())
+        shared_.release(digests_[i]);
+    // A gave-up or timed-out verdict is environment-dependent — never
+    // persisted, so a rerun (or resume) re-attempts it.
+    const bool deterministic = !slot.gave_up && !slot.timed_out;
+    if (deterministic && store_ && key && !hit)
+        store_->store_report(*key, slot);
+    if (deterministic && journal_)
+        journal_->append(key ? fnv1a64::hex_digest(*key)
+                             : journal_key(grid_[i]),
+                         slot);
+    if (hooks_.on_scenario)
+        hooks_.on_scenario(slot);
+}
+
+} // namespace
+
+campaign_result campaign_runner::run(const run_hooks& hooks) const {
+    return campaign_run(config_, hooks).run();
+}
+
 
 namespace {
 
@@ -1071,8 +1097,6 @@ campaign_result merge_impl(const std::vector<campaign_result>& shards,
         // the sequential-equivalent sum (shards may have run anywhere).
         out.wall_s += shard.wall_s;
         out.threads_used = std::max(out.threads_used, shard.threads_used);
-        out.cache_hits += shard.cache_hits;
-        out.cache_misses += shard.cache_misses;
         out.stage_reuse_hits += shard.stage_reuse_hits;
         out.stage_reuse_computes += shard.stage_reuse_computes;
         out.store_hits += shard.store_hits;

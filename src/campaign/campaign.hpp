@@ -129,19 +129,15 @@ struct campaign_config {
     /// `shard` (a scenario runs when both filters accept it).  This is the
     /// campaign service's lease unit; nullopt = no slicing.
     std::optional<lease_range> lease;
-    /// On-disk scenario result cache directory; empty = caching disabled.
-    /// Keys are content hashes of the materialised per-scenario engine
-    /// config (see campaign/cache.hpp), so overlapping grids and repeated
-    /// runs skip already-graded scenarios.
-    std::string cache_dir;
     /// On-disk stage-artefact store directory; empty = store disabled.
-    /// Intermediate stage outputs are published keyed by their chained
-    /// input digests (campaign/artefact_store/) and adopted on later runs
-    /// — a warm run skips the stage computes themselves, even for
-    /// scenarios the result cache cannot serve.  Like `cache_dir`, an
-    /// execution knob: never part of the cache key or journal identity,
-    /// and exports stay byte-identical with the store cold, warm, or
-    /// disabled.
+    /// Finished reports and intermediate stage outputs are published keyed
+    /// by their chained input digests (campaign/artefact_store/) and
+    /// adopted on later runs: a scenario whose report is stored does no
+    /// stage work, and one whose report is not (a retuned grading limit,
+    /// say) still skips every stored upstream stage.  Overlapping grids
+    /// and repeated runs share entries.  An execution knob: never part of
+    /// the journal identity, and exports stay byte-identical with the
+    /// store cold, warm, or disabled.
     std::string stage_store_dir;
 
     // Failure containment (see also core/fault_injection.hpp, which makes
@@ -158,7 +154,7 @@ struct campaign_config {
     /// Per-scenario wall-clock budget in seconds, covering every attempt
     /// plus backoff.  An over-budget scenario is marked failed
     /// (`timed_out`) without killing the campaign; its verdict is
-    /// environment-dependent, so it is never cached or journalled.
+    /// environment-dependent, so it is never stored or journalled.
     /// 0 = no deadline.
     double scenario_deadline_s = 0.0;
     /// Crash-recovery journal path (see campaign/journal.hpp); empty = no
@@ -232,34 +228,29 @@ struct campaign_result {
     std::size_t shard_count = 1;
     std::size_t grid_size = 0;
 
-    // Result-cache accounting for this run (both 0 when caching is off).
-    // Scenario-cache accounting (both 0 when `cache_dir` is empty).
+    // Stage-artefact store accounting for this run, report and stage
+    // entries alike (all 0 when `stage_store_dir` is empty).
     // Environment-dependent like the timing fields: a warm rerun flips
     // misses into hits, so exporters treat these as measured data.
-    std::size_t cache_hits = 0;
-    std::size_t cache_misses = 0;
-
-    // Stage-artefact store accounting for this run (all 0 when
-    // `stage_store_dir` is empty).  Measured data like the cache
-    // counters: a warm rerun flips misses into hits.  Exactly equal to
-    // the `store.*` telemetry counters the run emitted (`store_bytes` is
-    // the raw bytes served by the hits).
+    // Exactly equal to the `store.*` telemetry counters the run emitted
+    // (`store_bytes` is the raw bytes served by the hits).
     std::size_t store_hits = 0;
     std::size_t store_misses = 0;
     std::uintmax_t store_bytes = 0;
 
     // Stage-pool accounting (both 0 when `stage_sharing` is off or the
-    // grid has no overlap).  Unlike the cache counters these are
-    // deterministic — the pool is planned from digest multiplicities, so
-    // adopted/computed totals are a pure function of the grid and sharing
-    // level, independent of thread count and completion order.
+    // grid has no overlap).  Unlike the store counters these are
+    // deterministic for a given store state — the pool is planned from
+    // digest multiplicities, so adopted/computed totals are a pure
+    // function of the grid, the sharing level and which reports the store
+    // holds, independent of thread count and completion order.
     std::size_t stage_reuse_hits = 0;     ///< pooled stage results adopted
     std::size_t stage_reuse_computes = 0; ///< pooled stage results computed
 
     // Failure-containment accounting.  `scenario_retries` (sum of
     // attempts-1 over the rows) and `scenario_gave_up` are derived from
     // the scenario rows, so they merge through shards for free; `resumed`
-    // and `quarantined` are per-run measured data like the cache counters
+    // and `quarantined` are per-run measured data like the store counters
     // (a resumed rerun flips computes into restores) and sum across
     // shards.
     std::size_t scenario_retries = 0; ///< attempts re-run after transients
@@ -268,7 +259,7 @@ struct campaign_result {
     std::size_t quarantined = 0;      ///< corrupt input files quarantined
 
     // Telemetry window of this run: per-category span aggregates (stage
-    // costs, pool waits, cache I/O, worker idle) captured between run
+    // costs, store I/O, worker idle) captured between run
     // start and end.  All zeros when telemetry was off.  Measured data
     // like the timing fields; merge_results combines additively
     // (telemetry::summary::merge_from), so sharded runs aggregate like
@@ -329,7 +320,7 @@ bist::bist_config scenario_config(const campaign_config& cfg,
 /// Observers the runner invokes while a campaign executes.
 struct run_hooks {
     /// Called once per scenario the moment its result slot is final
-    /// (engine run finished, cache hit, or restored from a resumed
+    /// (engine run finished, report entry hit, or restored from a resumed
     /// journal).  Invoked concurrently from
     /// worker threads in completion order — the callee must synchronise
     /// (campaign::jsonl_stream does).  The reference is only valid for the
@@ -337,15 +328,16 @@ struct run_hooks {
     std::function<void(const scenario_result&)> on_scenario;
 };
 
-/// Executes campaigns on a fixed thread pool.
+/// Executes campaigns on the task scheduler.
 class campaign_runner {
 public:
     explicit campaign_runner(campaign_config config);
 
     /// Run the configured portion of the grid (all of it by default; the
     /// shard's rows when `config.shard` says so).  Results are in grid
-    /// order and bit-identical for any thread count; with `cache_dir` set,
-    /// already-graded scenarios are restored from disk instead of re-run.
+    /// order and bit-identical for any thread count; with
+    /// `stage_store_dir` set, already-graded scenarios are restored from
+    /// their report entries instead of re-run.
     [[nodiscard]] campaign_result run() const { return run(run_hooks{}); }
     [[nodiscard]] campaign_result run(const run_hooks& hooks) const;
 
@@ -360,7 +352,7 @@ private:
 /// timing-free exports) to running the whole grid unsharded.  The shards
 /// must share the grid axes and together cover every scenario index exactly
 /// once; otherwise contract_violation.  Shard order does not matter.
-/// Measured fields are combined conservatively: wall times and cache
+/// Measured fields are combined conservatively: wall times and store
 /// counters sum, `threads_used` takes the maximum.
 campaign_result merge_results(const std::vector<campaign_result>& shards);
 

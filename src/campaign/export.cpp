@@ -68,7 +68,7 @@ std::string scenario_json(const scenario_result& r, const export_options& opt) {
     o.number_field("occupied_bw_hz", r.report.occupied_bw_hz);
     if (opt.include_timing) {
         o.number_field("elapsed_s", r.elapsed_s);
-        // Retry bookkeeping is measured data too: a warm (cache-hit) or
+        // Retry bookkeeping is measured data too: a warm (store-hit) or
         // resumed rerun takes one attempt where the cold run retried.
         o.size_field("attempts", r.attempts);
         o.number_field("backoff_ms", r.backoff_ms);
@@ -149,8 +149,6 @@ std::string summary_json(const campaign_result& result,
     o.number_field("coverage", result.coverage());
     o.number_field("escape_rate", result.escape_rate());
     if (opt.include_timing) {
-        o.size_field("cache_hits", result.cache_hits);
-        o.size_field("cache_misses", result.cache_misses);
         o.size_field("stage_reuse_hits", result.stage_reuse_hits);
         o.size_field("stage_reuse_computes", result.stage_reuse_computes);
         o.size_field("store_hits", result.store_hits);
@@ -209,18 +207,14 @@ std::string to_json(const campaign_result& result, export_options opt) {
             o.number_field("scenario_cpu_seconds", result.scenario_cpu_s);
             o.number_field("scenarios_per_second",
                            result.scenarios_per_second());
-            // Cache counters are measured data too: a warm rerun flips
-            // misses into hits, so they would break byte-identity.
-            o.size_field("cache_hits", result.cache_hits);
-            o.size_field("cache_misses", result.cache_misses);
             // Stage-reuse totals are deterministic per shard partition
             // but not partition-invariant (a shard pools less than the
             // whole grid), so they live with the measured fields.
             o.size_field("stage_reuse_hits", result.stage_reuse_hits);
             o.size_field("stage_reuse_computes",
                          result.stage_reuse_computes);
-            // Stage-store counters are measured data for the same reason:
-            // a warm rerun flips store misses into hits.
+            // Stage-store counters are measured data too: a warm rerun
+            // flips misses into hits, so they would break byte-identity.
             o.size_field("store_hits", result.store_hits);
             o.size_field("store_misses", result.store_misses);
             o.size_field("store_bytes",

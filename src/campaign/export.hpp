@@ -25,7 +25,7 @@ namespace sdrbist::campaign {
 /// Controls for the exporters.
 struct export_options {
     /// Include the *measured* fields: wall/elapsed timing, worker thread
-    /// count and cache hit/miss counters.  None of these is reproducible
+    /// count and store hit/miss counters.  None of these is reproducible
     /// run-to-run (a warm rerun flips misses into hits just like it moves
     /// the wall time); disable for byte-identical artefacts.
     bool include_timing = true;
@@ -59,7 +59,7 @@ std::string scenarios_jsonl(const campaign_result& result,
                             export_options opt = {});
 
 /// The JSONL summary row: `{"row":"summary",...}` with the population
-/// statistics and — timing on — the cache and stage-reuse counters.
+/// statistics and — timing on — the store and stage-reuse counters.
 /// Distinguishable from scenario rows by its `row` field.  Only
 /// deterministic fields are emitted under `include_timing == false`, so
 /// merged-vs-unsharded artefacts stay byte-comparable (stage-reuse totals
@@ -208,7 +208,7 @@ std::vector<std::vector<std::string>> parse_csv(const std::string& text);
 
 /// Emits one JSON object with caller-controlled field order (std::map
 /// would sort keys; exports fix their own order).  Shared by the campaign
-/// exporters and the result-cache serialiser.
+/// exporters and the stage codec.
 class json_object_writer {
 public:
     void field(const std::string& key, const std::string& raw_value) {

@@ -5,8 +5,9 @@
 /// A campaign that dies mid-run (OOM kill, pre-emption, power) should
 /// cost only the scenarios in flight, not the whole grid.  The runner
 /// appends one fsync'd line per *completed* scenario — full-fidelity row
-/// (the shard-file serialisation) plus the scenario's content digest (the
-/// scenario-cache key).  On `--resume` the journal is replayed: rows
+/// (the shard-file serialisation) plus the scenario's content digest (its
+/// report key in the stage-artefact store: the grading stage's input
+/// digest).  On `--resume` the journal is replayed: rows
 /// whose digest still matches what the current config derives are
 /// restored in place, everything else is recomputed, and the resumed
 /// run's exports are byte-identical (timing suppressed) to an
@@ -42,12 +43,13 @@
 namespace sdrbist::campaign {
 
 /// Journal line-format version; read_journal rejects other versions.
-inline constexpr int journal_format_version = 1;
+/// v2: row keys are grading-stage digests, not scenario-cache keys.
+inline constexpr int journal_format_version = 2;
 
 /// Digest of the campaign *shape*: everything that decides which
 /// scenarios exist and what each one computes — seed, trials, reseed
 /// policy, perturbations, mask relaxation, shard, preset/fault axes and
-/// the canonical base config.  Execution knobs (threads, cache_dir,
+/// the canonical base config.  Execution knobs (threads, stage_store_dir,
 /// stage_sharing, retry/deadline settings) are deliberately excluded:
 /// they cannot change any deterministic result, so a resume may use
 /// different ones.
@@ -55,7 +57,7 @@ std::string campaign_identity(const campaign_config& cfg);
 
 /// One replayed journal row.
 struct journal_row {
-    std::string key; ///< scenario-cache digest ("" = config rejected)
+    std::string key; ///< hex report key ("" = config rejected)
     scenario_result result;
 };
 

@@ -119,9 +119,8 @@ struct coordinator::impl {
                 const std::string type = msg.at("type").as_string();
 
                 if (type == "hello") {
-                    const int ver = static_cast<int>(
-                        msg.at("protocol_version").as_number());
-                    if (ver != protocol_version) {
+                    if (msg.at("protocol_version").as_size() !=
+                        static_cast<std::size_t>(protocol_version)) {
                         send_frame(sock,
                                    error_msg("protocol version mismatch"));
                         return;
@@ -179,10 +178,9 @@ struct coordinator::impl {
                     continue;
                 }
 
-                const auto lease =
-                    static_cast<std::size_t>(msg.at("lease").as_number());
-                const auto generation = static_cast<std::uint64_t>(
-                    msg.at("generation").as_number());
+                const std::size_t lease = msg.at("lease").as_size();
+                const std::uint64_t generation =
+                    msg.at("generation").as_u64();
 
                 if (type == "heartbeat") {
                     send_frame(sock, ledger.beat(lease, generation, now_s())

@@ -118,15 +118,12 @@ worker_report run_worker(campaign_config grid, const service_config& svc) {
             throw contract_violation("coordinator error: " +
                                      reply.at("what").as_string());
         SDRBIST_EXPECTS(type == "lease");
-        const auto lease =
-            static_cast<std::size_t>(reply.at("lease").as_number());
-        const auto generation =
-            static_cast<std::uint64_t>(reply.at("generation").as_number());
+        const std::size_t lease = reply.at("lease").as_size();
+        const std::uint64_t generation = reply.at("generation").as_u64();
 
         campaign_config cfg = grid;
-        cfg.lease = lease_range{
-            static_cast<std::size_t>(reply.at("begin").as_number()),
-            static_cast<std::size_t>(reply.at("end").as_number())};
+        cfg.lease = lease_range{reply.at("begin").as_size(),
+                                reply.at("end").as_size()};
 
         // The engine cannot be cancelled mid-scenario, so a connection
         // that dies during the compute is only *recorded* here; the lease

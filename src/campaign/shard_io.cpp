@@ -13,13 +13,15 @@
 #include <unistd.h> // getpid: temp names must be unique across processes
 #endif
 
-#include "campaign/cache.hpp"
+#include "campaign/artefact_store/stage_codec.hpp"
 #include "core/contracts.hpp"
 #include "core/fault_injection.hpp"
 #include "core/hash.hpp"
 #include "core/telemetry.hpp"
 
 namespace sdrbist::campaign {
+
+namespace fs = std::filesystem;
 
 namespace {
 
@@ -144,8 +146,6 @@ std::string result_to_json(const campaign_result& result) {
     doc.size_field("grid_size", result.grid_size);
     doc.size_field("threads_used", result.threads_used);
     doc.number_field("wall_s", result.wall_s);
-    doc.size_field("cache_hits", result.cache_hits);
-    doc.size_field("cache_misses", result.cache_misses);
     doc.size_field("stage_reuse_hits", result.stage_reuse_hits);
     doc.size_field("stage_reuse_computes", result.stage_reuse_computes);
     doc.size_field("store_hits", result.store_hits);
@@ -179,8 +179,6 @@ campaign_result result_from_json(const json_value& doc) {
     out.grid_size = doc.at("grid_size").as_size();
     out.threads_used = doc.at("threads_used").as_size();
     out.wall_s = num_or_nan(doc.at("wall_s"));
-    out.cache_hits = doc.at("cache_hits").as_size();
-    out.cache_misses = doc.at("cache_misses").as_size();
     out.stage_reuse_hits = doc.at("stage_reuse_hits").as_size();
     out.stage_reuse_computes = doc.at("stage_reuse_computes").as_size();
     out.store_hits = doc.at("store_hits").as_size();
@@ -223,7 +221,7 @@ bool write_result_file(const std::string& path,
     body += '\n';
     fault_injection::corrupt(fault_injection::site::shard_write, body);
 
-    // Atomic publish (same discipline as the scenario cache): write a
+    // Atomic publish (same discipline as the stage-artefact store): write a
     // uniquely named temp file next to the target, then rename over it, so
     // a crash or SIGKILL mid-write leaves the target either absent or
     // complete — never a torn file that strict --merge rejects.
@@ -237,7 +235,6 @@ bool write_result_file(const std::string& path,
     const std::string tmp =
         path + ".tmp." + fnv1a64::hex_digest(process_tag) + "." +
         std::to_string(sequence.fetch_add(1, std::memory_order_relaxed));
-    namespace fs = std::filesystem;
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out.good())
@@ -279,6 +276,20 @@ read_result_files_salvage(const std::vector<std::string>& paths,
         }
     }
     return out;
+}
+
+bool quarantine_file(const std::string& file) {
+    std::error_code ec;
+    const fs::path src(file);
+    const fs::path dir = src.parent_path() / "quarantine";
+    fs::create_directories(dir, ec);
+    if (ec)
+        return false;
+    fs::path dst = dir / src.filename();
+    for (int n = 1; fs::exists(dst, ec) && n < 1000; ++n)
+        dst = dir / (src.filename().string() + "." + std::to_string(n));
+    fs::rename(src, dst, ec);
+    return !ec;
 }
 
 } // namespace sdrbist::campaign

@@ -6,16 +6,16 @@
 /// cannot be merged back into a campaign_result.  This module defines the
 /// complementary *shard file*: a versioned JSON document that round-trips
 /// every field the aggregation and exporters read — scenario coordinates,
-/// verdict reports bit-for-bit (through the cache's report serialisation:
-/// shortest round-trip doubles), error strings, timing and counters.
+/// verdict reports bit-for-bit (through the stage codec's report
+/// serialisation: shortest round-trip doubles), error strings, timing and
+/// counters.
 ///
 ///   campaign_runner --shard 0/3 --shard-out shard0.json …
 ///   campaign_runner --merge shard0.json shard1.json shard2.json --json …
 ///
 /// `read_result_file` + `merge_results()` therefore recombine shard
-/// processes without the shared `--cache-dir` the old merge flow needed,
-/// and the merged exports are byte-identical (timing suppressed) to an
-/// unsharded run's.
+/// processes without any shared directory, and the merged exports are
+/// byte-identical (timing suppressed) to an unsharded run's.
 #pragma once
 
 #include <string>
@@ -31,7 +31,10 @@ namespace sdrbist::campaign {
 ///     timed_out, per-result resumed/quarantined.
 /// v4: stage-artefact store counters — per-result store_hits/store_misses/
 ///     store_bytes.
-inline constexpr int shard_file_version = 4;
+/// v5: the retired scenario result cache's hit/miss counters are gone;
+///     telemetry category `pool` (never emitted) is gone and `cache` is
+///     now `store`, so the block carries one category fewer.
+inline constexpr int shard_file_version = 5;
 
 /// Serialise a campaign result (typically one shard's) with full fidelity.
 /// Deterministic: fixed field order, shortest round-trip doubles — so
@@ -65,11 +68,18 @@ campaign_result read_result_file(const std::string& path);
 /// Lenient multi-file read for salvaging partially-failed distributed
 /// runs (`campaign_runner --merge --salvage`): a file that is missing,
 /// truncated, garbled or version-skewed is moved to a `quarantine/`
-/// directory beside it (see campaign/cache.hpp) and skipped, counted in
+/// directory beside it (quarantine_file) and skipped, counted in
 /// `stats.quarantined_files` with a note — instead of failing the whole
 /// merge.  Pair with `merge_results_salvage` for row-level leniency.
 std::vector<campaign_result>
 read_result_files_salvage(const std::vector<std::string>& paths,
                           salvage_stats& stats);
+
+/// Move `file` into a `quarantine/` directory beside it (collisions get a
+/// numeric suffix), getting a corrupt input out of the way without
+/// destroying the evidence.  Used by the salvage reader and the
+/// stage-artefact store.  Returns false when the move failed (the file is
+/// left in place).
+bool quarantine_file(const std::string& file);
 
 } // namespace sdrbist::campaign

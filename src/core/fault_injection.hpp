@@ -10,7 +10,7 @@
 /// the production code paths:
 ///
 ///  * pipeline stage entry (`stage.*`, bist/pipeline.cpp)
-///  * scenario-cache load/store (`cache.*`, campaign/cache.cpp)
+///  * stage-artefact store load/store (`store.*`, campaign/artefact_store/)
 ///  * shard file read/write/merge (`shard.*`, campaign/shard_io.cpp)
 ///  * campaign scenario task dispatch (`pool.dispatch`, campaign.cpp)
 ///  * recovery-journal append (`journal.append`, campaign/journal.cpp)
@@ -31,7 +31,7 @@
 ///              | "p=" <float> ",seed=" <int>   seeded per-arrival Bernoulli
 ///
 /// e.g. `SDRBIST_FAULT_SPEC='*:throw-transient:p=0.05,seed=7'` or
-/// `cache.load:corrupt-bytes:count=2;stage.grading:delay-ms=40:every=3`.
+/// `store.load:corrupt-bytes:count=2;stage.grading:delay-ms=40:every=3`.
 /// Omitting the trigger fires on every arrival.
 ///
 /// Contracts (same cost discipline as `core/telemetry`):
@@ -65,8 +65,9 @@ enum class site : int {
     stage_calibration,    ///< pipeline stage 2 entry
     stage_reconstruction, ///< pipeline stage 3 entry
     stage_grading,        ///< pipeline stage 4 entry
-    cache_load,           ///< scenario-cache entry load (cache.cpp)
-    cache_store,          ///< scenario-cache entry store (best-effort site)
+    cache_load,           ///< retired with the scenario result cache: no
+    cache_store,          ///< call site; the slots keep the later sites'
+                          ///< indices, which seed `p=` triggers
     shard_read,           ///< shard result-file read (shard_io.cpp)
     shard_write,          ///< shard result-file write
     shard_merge,          ///< merge_results() entry (campaign.cpp)

@@ -6,8 +6,10 @@ namespace sdrbist {
 
 double rng::gaussian(double mean, double sigma) {
     SDRBIST_EXPECTS(sigma >= 0.0);
+    if (sigma == 0.0)
+        return mean; // normal_distribution requires stddev > 0
     std::normal_distribution<double> dist(mean, sigma);
-    return sigma == 0.0 ? mean : dist(engine_);
+    return dist(engine_);
 }
 
 double rng::uniform(double lo, double hi) {

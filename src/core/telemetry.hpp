@@ -2,10 +2,10 @@
 /// \brief Cross-layer telemetry: scoped trace spans, monotonic counters,
 ///        per-category aggregates and a Chrome trace-event export.
 ///
-/// The five-stage BIST pipeline, the campaign stage pool, the scenario
-/// cache and the task scheduler all do their work behind abstraction
-/// boundaries that make wall-time invisible from the outside.  This layer
-/// makes them observable without perturbing them:
+/// The five-stage BIST pipeline, the campaign stage pool, the
+/// stage-artefact store and the task scheduler all do their work behind
+/// abstraction boundaries that make wall-time invisible from the outside.
+/// This layer makes them observable without perturbing them:
 ///
 ///  * `scoped_span` — an RAII timer.  On destruction it folds its duration
 ///    into the per-category aggregate (count/total/max ns) and, when
@@ -13,8 +13,8 @@
 ///    to a per-thread buffer.  Nested spans on one thread nest in the
 ///    trace, which is what chrome://tracing / Perfetto render as a flame
 ///    graph.
-///  * `count()` / `count_max()` — named monotonic counters (cache hits,
-///    stage-pool adopts, pool queue high-water, ...).
+///  * `count()` / `count_max()` — named monotonic counters (store hits,
+///    stage-pool adopts, scheduler queue high-water, ...).
 ///  * Sinks: `snapshot()`/`since()` return the aggregate summary (the
 ///    campaign runner attaches a per-run window of it to
 ///    `campaign_result`, and `merge_results` sums it across shards);
@@ -58,27 +58,25 @@ enum class category : int {
     stage_grading,         ///< pipeline stage 4
     campaign,              ///< campaign plan/run (campaign/campaign.cpp)
     scenario,              ///< one grid scenario, end to end
-    pool,                  ///< stage-pool waits on another worker's compute
-    cache,                 ///< scenario-cache load/store (campaign/cache.cpp)
+    store,                 ///< stage-artefact store load/store
+                           ///< (campaign/artefact_store/)
     shard,                 ///< shard file read/write/merge (shard_io.cpp)
     worker,                ///< scheduler task execution (task_scheduler.cpp)
     idle,                  ///< scheduler workers waiting for work
 };
-inline constexpr std::size_t category_count = 12;
+inline constexpr std::size_t category_count = 11;
 
-/// Stable export name ("stage.stimulus", "pool", ...).
+/// Stable export name ("stage.stimulus", "store", ...).
 const char* to_string(category c);
 
 /// Monotonic counters.  All process-wide; reset() zeroes them.
 enum class counter : int {
-    cache_hits = 0,       ///< scenario-cache hits (campaign run)
-    cache_misses,         ///< scenario-cache misses
-    stage_adopts,         ///< pooled stage results adopted (== reuse hits)
+    stage_adopts = 0,     ///< pooled stage results adopted (== reuse hits)
     stage_computes,       ///< pooled stage results computed once
     stage_waits,          ///< adoptions that blocked on another worker
-    pool_tasks,           ///< thread-pool tasks executed
-    pool_idle_ns,         ///< summed worker idle time (ns)
-    pool_queue_high_water, ///< deepest task queue observed (max, not sum)
+    sched_tasks,          ///< task-scheduler tasks executed
+    sched_idle_ns,        ///< summed scheduler worker idle time (ns)
+    sched_queue_high_water, ///< deepest task queue observed (max, not sum)
     scenario_retries,     ///< scenario attempts re-run after a transient
                           ///< failure (campaign retry loop)
     scenario_failures,    ///< scenario attempts that ended in an error
@@ -101,9 +99,9 @@ enum class counter : int {
     store_bytes,          ///< raw (uncompressed) bytes served by store
                           ///< hits (summed, not a count)
 };
-inline constexpr std::size_t counter_count = 21;
+inline constexpr std::size_t counter_count = 19;
 
-/// Stable export name ("cache.hits", "pool.queue_high_water", ...).
+/// Stable export name ("store.hits", "sched.queue_high_water", ...).
 const char* to_string(counter c);
 
 namespace detail {

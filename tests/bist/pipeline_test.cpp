@@ -17,7 +17,7 @@
 #include "bist/config_canonical.hpp"
 #include "bist/faults.hpp"
 #include "bist/pipeline.hpp"
-#include "campaign/cache.hpp"
+#include "campaign/artefact_store/stage_codec.hpp"
 #include "core/contracts.hpp"
 #include "core/stats.hpp"
 #include "core/units.hpp"

@@ -101,13 +101,13 @@ void expect_no_keys(const json_value& v,
 
 TEST(CampaignExport, SuppressedExportsContainNoMeasuredFieldAnywhere) {
     // Regression for the include_timing=false audit: *every* measured
-    // field — wall/elapsed timing, thread count, cache counters — must be
+    // field — wall/elapsed timing, thread count, store counters — must be
     // absent from every exporter, at any nesting depth.  The golden tests
     // depend on this: one leaked measured field breaks byte-identity.
     const std::vector<std::string> measured = {
         "elapsed_s",        "wall_seconds", "scenario_cpu_seconds",
-        "scenarios_per_second", "threads",  "cache_hits",
-        "cache_misses"};
+        "scenarios_per_second", "threads",  "store_hits",
+        "store_misses"};
     const auto& result = tiny_campaign_result();
     export_options opt;
     opt.include_timing = false;
@@ -129,15 +129,15 @@ TEST(CampaignExport, SuppressedExportsContainNoMeasuredFieldAnywhere) {
 }
 
 TEST(CampaignExport, MeasuredFieldsPresentWhenRequested) {
-    // The default export keeps the full diagnostics, including the cache
-    // counters introduced with the result cache.
+    // The default export keeps the full diagnostics, including the store
+    // counters.
     const auto& result = tiny_campaign_result();
     const auto doc = parse_json(to_json(result));
     const auto& summary = doc.at("summary").as_object();
     EXPECT_EQ(summary.count("wall_seconds"), 1u);
-    EXPECT_EQ(summary.count("cache_hits"), 1u);
-    EXPECT_EQ(summary.count("cache_misses"), 1u);
-    EXPECT_DOUBLE_EQ(summary.at("cache_hits").as_number(), 0.0);
+    EXPECT_EQ(summary.count("store_hits"), 1u);
+    EXPECT_EQ(summary.count("store_misses"), 1u);
+    EXPECT_DOUBLE_EQ(summary.at("store_hits").as_number(), 0.0);
     EXPECT_EQ(doc.at("campaign").as_object().count("threads"), 1u);
     const auto& row = doc.at("scenarios").at(std::size_t{0}).as_object();
     EXPECT_EQ(row.count("elapsed_s"), 1u);

@@ -142,7 +142,7 @@ TEST(GoldenArtefacts, FixturesContainNoMeasuredFields) {
         const std::string body = read_file(golden_dir / name);
         for (const char* field :
              {"elapsed_s", "wall_seconds", "scenario_cpu_seconds",
-              "scenarios_per_second", "cache_hits", "cache_misses"})
+              "scenarios_per_second", "store_hits", "store_misses"})
             EXPECT_EQ(body.find(field), std::string::npos)
                 << field << " leaked into fixture " << name;
     }

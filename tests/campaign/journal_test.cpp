@@ -77,10 +77,10 @@ TEST_F(CampaignJournal, IdentityCoversShapeNotExecution) {
     EXPECT_NE(campaign_identity(changed), id);
 
     // ...while pure execution knobs must not: a resume may legitimately
-    // use different threads, cache or retry settings.
+    // use different threads, store or retry settings.
     changed = base;
     changed.threads = 7;
-    changed.cache_dir = "elsewhere";
+    changed.stage_store_dir = "elsewhere";
     changed.max_retries = 9;
     changed.retry_backoff_ms = 123.0;
     changed.scenario_deadline_s = 5.0;
@@ -117,7 +117,7 @@ TEST_F(CampaignJournal, ResumeFromCompleteJournalRecomputesNothing) {
     const auto resumed = campaign_runner(resume_cfg).run(hooks);
 
     EXPECT_EQ(resumed.resumed, original.scenario_count());
-    EXPECT_EQ(resumed.cache_hits + resumed.cache_misses, 0u);
+    EXPECT_EQ(resumed.store_hits + resumed.store_misses, 0u);
     EXPECT_EQ(hook_rows, original.scenario_count())
         << "restored rows still flow through the observer hooks";
     EXPECT_EQ(timing_free_json(resumed), timing_free_json(original));
@@ -226,6 +226,27 @@ TEST_F(CampaignJournal, ReadJournalRejectsGarbage) {
         << "\n";
     EXPECT_THROW(static_cast<void>(read_journal(bad_version)),
                  contract_violation);
+}
+
+TEST_F(CampaignJournal, HostileHeaderVersionsAreRejected) {
+    // A version that is no count at all — out of range, negative, or
+    // fractional (the current version plus a half truncated to the
+    // current version before the checked read) — must be a clean
+    // contract violation, never a cast of an unrepresentable double.
+    const scratch_dir dir("hostile_journal");
+    const std::string current = std::to_string(journal_format_version);
+    for (const std::string& version :
+         {std::string("1e30"), std::string("-1"), std::string("2.5"),
+          current + ".5"}) {
+        SCOPED_TRACE(version);
+        const std::string path = dir.file("hostile.jsonl");
+        std::ofstream(path, std::ios::binary | std::ios::trunc)
+            << R"({"row":"header","journal_version":)" << version
+            << R"(,"identity":"x"})"
+            << "\n";
+        EXPECT_THROW(static_cast<void>(read_journal(path)),
+                     contract_violation);
+    }
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 // Failure containment under deterministic fault injection: transient
 // failures retry to bit-identical results, contract violations never
 // retry, exhausted retries give up without killing the campaign, retried
-// successes still land in the cache, deadlines mark overruns, and the
+// successes still land in the store, deadlines mark overruns, and the
 // retry telemetry counters mirror the per-row accounting exactly.
 #include <gtest/gtest.h>
 
@@ -83,7 +83,7 @@ TEST_F(CampaignRecovery, TransientFailureRetriesToBitIdenticalResult) {
     EXPECT_FALSE(faulted.results[0].engine_error);
     EXPECT_EQ(faulted.results[1].attempts, 1u);
 
-    // Counter <-> result exactness, same contract as the cache counters.
+    // Counter <-> result exactness, same contract as the store counters.
     const auto counts = tm::counters();
     EXPECT_EQ(counter_at(counts, tm::counter::scenario_retries),
               faulted.scenario_retries);
@@ -149,23 +149,24 @@ TEST_F(CampaignRecovery, BackoffIsBoundedAndRecorded) {
 }
 
 TEST_F(CampaignRecovery, RetriedSuccessStillLandsInTheCache) {
+    // The store's report entries are the campaign's scenario result cache.
     const scratch_dir dir("retry_cache");
     auto cfg = small_campaign();
     cfg.faults = {bist::fault_kind::none};
-    cfg.cache_dir = dir.path.string();
+    cfg.stage_store_dir = dir.path.string();
 
-    // The transient fires at dispatch, *before* the cache key is even
+    // The transient fires at dispatch, *before* the report key is even
     // derived — the retried success must still be stored.
     fi::arm("pool.dispatch:throw-transient:count=1");
     const auto cold = campaign_runner(cfg).run();
     EXPECT_EQ(cold.results[0].attempts, 2u);
     EXPECT_FALSE(cold.results[0].engine_error);
-    EXPECT_EQ(cold.cache_misses, 1u);
+    EXPECT_EQ(cold.store_hits, 0u);
 
     fi::disarm();
     const auto warm = campaign_runner(cfg).run();
-    EXPECT_EQ(warm.cache_hits, 1u);
-    EXPECT_EQ(warm.cache_misses, 0u);
+    EXPECT_EQ(warm.store_hits, 1u) << "the one report entry";
+    EXPECT_EQ(warm.store_misses, 0u);
     EXPECT_EQ(timing_free_json(warm), timing_free_json(cold));
 }
 
@@ -173,7 +174,7 @@ TEST_F(CampaignRecovery, GaveUpResultsAreNotCached) {
     const scratch_dir dir("gave_up_cache");
     auto cfg = small_campaign();
     cfg.faults = {bist::fault_kind::none};
-    cfg.cache_dir = dir.path.string();
+    cfg.stage_store_dir = dir.path.string();
     cfg.max_retries = 0;
 
     fi::arm("stage.calibration:throw-transient");
@@ -184,8 +185,9 @@ TEST_F(CampaignRecovery, GaveUpResultsAreNotCached) {
     // the environment-dependent give-up.
     fi::disarm();
     const auto healed = campaign_runner(cfg).run();
-    EXPECT_EQ(healed.cache_hits, 0u);
-    EXPECT_EQ(healed.cache_misses, 1u);
+    EXPECT_EQ(healed.store_hits, 0u)
+        << "no report entry and no upstream stage was published";
+    EXPECT_GE(healed.store_misses, 1u);
     EXPECT_FALSE(healed.results[0].engine_error);
 }
 

@@ -1,6 +1,11 @@
-// Scenario result cache: key properties (stable, coordinate- and
-// config-sensitive), warm-run bit-identity, corruption tolerance, and the
-// full bist_report JSON round-trip the cache rests on.
+// Report entries in the stage-artefact store — the campaign's scenario
+// result cache.  A report is keyed by the grading stage's input digest:
+// stable, moved by any config field, independent of grid shape and of the
+// preset name.  Warm reruns are all hits and bit-identical, overlapping
+// grids and renamed presets share entries, corrupt entries are
+// quarantined and re-graded, deterministic engine errors persist, and the
+// report round-trips bit-exactly.  (The suites keep the names they had
+// when the scenario cache was a separate class.)
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -8,10 +13,12 @@
 
 #include "bist/config_canonical.hpp"
 #include "bist/stages.hpp"
-#include "campaign/cache.hpp"
+#include "campaign/artefact_store/artefact_store.hpp"
+#include "campaign/artefact_store/stage_codec.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/export.hpp"
 #include "core/contracts.hpp"
+#include "core/hash.hpp"
 #include "support/scratch_dir.hpp"
 
 namespace {
@@ -33,67 +40,47 @@ campaign_config small_campaign() {
     return cfg;
 }
 
-// ---- canonical config text --------------------------------------------------
-
-TEST(ConfigCanonical, IsPureAndVersioned) {
-    const auto cfg = small_campaign();
-    const auto grid = expand_grid(cfg);
-    const auto materialised = scenario_config(cfg, grid[0]);
-    const auto text = bist::canonical_config_text(materialised);
-    EXPECT_EQ(text, bist::canonical_config_text(materialised));
-    EXPECT_EQ(text.rfind("canon=" +
-                             std::to_string(bist::canonical_config_version) +
-                             "\n",
-                         0),
-              0u)
-        << "serialisation must lead with its version line";
-    // Every leaf is a key=value line.
-    EXPECT_NE(text.find("tx.pa_gain_db="), std::string::npos);
-    EXPECT_NE(text.find("tiadc.jitter_rms_s="), std::string::npos);
-    EXPECT_NE(text.find("preset.mask.segment.0.limit_dbc="),
-              std::string::npos);
+/// The key a scenario's report entry is filed under.
+std::uint64_t report_key(const campaign_config& cfg, const scenario& sc) {
+    return bist::stage_input_digest(scenario_config(cfg, sc),
+                                    bist::stage::grading);
 }
 
-TEST(ConfigCanonical, DigestMovesWithAnyField) {
-    const auto cfg = small_campaign();
-    const auto grid = expand_grid(cfg);
-    const auto base = scenario_config(cfg, grid[0]);
-    const auto reference = bist::config_digest(base);
-
-    auto probe = [&](auto&& mutate) {
-        bist::bist_config c = base;
-        mutate(c);
-        return bist::config_digest(c);
-    };
-    EXPECT_NE(probe([](auto& c) { c.evm_limit_percent += 0.5; }), reference);
-    EXPECT_NE(probe([](auto& c) { c.tx.pa_gain_db += 1e-9; }), reference);
-    EXPECT_NE(probe([](auto& c) { c.tiadc.seed ^= 1; }), reference);
-    EXPECT_NE(probe([](auto& c) { c.probe_count += 1; }), reference);
-    EXPECT_NE(probe([](auto& c) { c.lms.recon.taps += 2; }), reference);
-    EXPECT_NE(probe([](auto& c) { c.preset.name += "x"; }), reference);
-    EXPECT_NE(probe([](auto& c) { c.spectrum.dense_rate_factor *= 1.001; }),
-              reference);
+std::vector<fs::path> report_entries(const fs::path& dir) {
+    std::vector<fs::path> out;
+    for (const auto& e : fs::directory_iterator(dir)) {
+        const std::string name = e.path().filename().string();
+        if (e.is_regular_file() && name.size() > 11 &&
+            name.compare(name.size() - 11, 11, "-report.sab") == 0)
+            out.push_back(e.path());
+    }
+    return out;
 }
 
-// ---- cache keys -------------------------------------------------------------
+std::string timing_free(const campaign_result& r) {
+    export_options opt;
+    opt.include_timing = false;
+    return to_json(r, opt);
+}
+
+// ---- report keys ------------------------------------------------------------
 
 TEST(CacheKey, StableAcrossCallsAndProcessShaped) {
     const auto cfg = small_campaign();
     const auto grid = expand_grid(cfg);
-    const auto mat0 = scenario_config(cfg, grid[0]);
-    const auto key = scenario_cache::key(grid[0], mat0);
-    EXPECT_EQ(key.size(), 16u);
-    EXPECT_EQ(key, scenario_cache::key(grid[0], scenario_config(cfg, grid[0])));
+    const auto key = report_key(cfg, grid[0]);
+    EXPECT_EQ(fnv1a64::hex_digest(key).size(), 16u);
+    EXPECT_EQ(key, report_key(cfg, grid[0]));
     // Distinct scenarios get distinct keys.
-    EXPECT_NE(key, scenario_cache::key(grid[1], scenario_config(cfg, grid[1])));
+    EXPECT_NE(key, report_key(cfg, grid[1]));
 }
 
 TEST(CacheKey, KernelChangeInvalidatesVersionOneKeysAndDigests) {
-    // Stage input digests and the scenario-cache key of one scenario as
-    // stage_canonical_version 1 / cache_format_version 1 computed them,
-    // before the table-driven PNBS kernel moved calibration and
-    // reconstruction outputs in their last bits.  Entries stored under
-    // these keys hold the old values: none may be found again.
+    // Stage input digests of one scenario as stage_canonical_version 1
+    // computed them, before the table-driven PNBS kernel moved calibration
+    // and reconstruction outputs in their last bits.  Entries stored under
+    // these digests (the grading one is the report key) hold the old
+    // values: none may be found again.
     const auto cfg = small_campaign();
     const auto grid = expand_grid(cfg);
     const auto mat0 = scenario_config(cfg, grid[0]);
@@ -104,54 +91,46 @@ TEST(CacheKey, KernelChangeInvalidatesVersionOneKeysAndDigests) {
     for (const bist::stage s : bist::stage_order)
         EXPECT_NE(bist::stage_input_digest(mat0, s), v1_digests[i++])
             << bist::to_string(s);
-    EXPECT_NE(scenario_cache::key(grid[0], mat0), "679d5de28aca0e35");
 }
 
 TEST(CacheKey, MovesWithGridCoordinatesAndConfig) {
     auto cfg = small_campaign();
     cfg.trials = 2;
     const auto grid = expand_grid(cfg);
-    // grid[0] and grid[1]: same preset/fault, different trial.
-    const auto k_trial0 = scenario_cache::key(grid[0], scenario_config(cfg, grid[0]));
-    const auto k_trial1 = scenario_cache::key(grid[1], scenario_config(cfg, grid[1]));
-    EXPECT_NE(k_trial0, k_trial1);
+    // grid[0] and grid[1]: same preset/fault, different trial — so
+    // different device seeds under the default reseed policy.
+    const auto k_trial0 = report_key(cfg, grid[0]);
+    EXPECT_NE(k_trial0, report_key(cfg, grid[1]));
 
     // A different master seed moves every key (derived seeds change).
     auto reseeded = cfg;
     reseeded.seed ^= 0xF00Dull;
-    const auto rgrid = expand_grid(reseeded);
-    EXPECT_NE(scenario_cache::key(rgrid[0], scenario_config(reseeded, rgrid[0])),
-              k_trial0);
+    EXPECT_NE(report_key(reseeded, expand_grid(reseeded)[0]), k_trial0);
 
     // Any engine-config field moves the key even at equal coordinates.
     auto tweaked = cfg;
     tweaked.base.evm_limit_percent = 7.5;
     const auto tgrid = expand_grid(tweaked);
     ASSERT_EQ(tgrid[0].seed, grid[0].seed) << "coordinates unchanged";
-    EXPECT_NE(scenario_cache::key(tgrid[0], scenario_config(tweaked, tgrid[0])),
-              k_trial0);
+    EXPECT_NE(report_key(tweaked, tgrid[0]), k_trial0);
 
     // Monte-Carlo perturbations materialise into the config, hence the key.
     auto perturbed = cfg;
     perturbed.perturb.jitter_rel_sigma = 0.1;
-    const auto pgrid = expand_grid(perturbed);
-    EXPECT_NE(scenario_cache::key(pgrid[0], scenario_config(perturbed, pgrid[0])),
-              k_trial0);
+    EXPECT_NE(report_key(perturbed, expand_grid(perturbed)[0]), k_trial0);
 }
 
 TEST(CacheKey, IndependentOfGridShape) {
     // Appending presets/faults keeps existing coordinates and thus keys:
-    // that is what makes overlapping grids share cache entries.
+    // that is what makes overlapping grids share report entries.
     const auto cfg = small_campaign();
-    const auto grid = expand_grid(cfg);
     auto wider = cfg;
     wider.presets.push_back(waveform::find_preset("tactical-bpsk-2M"));
     wider.faults.push_back(bist::fault_kind::pa_overdrive);
     wider.trials = 3;
-    const auto wgrid = expand_grid(wider);
     // Scenario (preset 0, fault 0, trial 0) exists in both grids.
-    EXPECT_EQ(scenario_cache::key(grid[0], scenario_config(cfg, grid[0])),
-              scenario_cache::key(wgrid[0], scenario_config(wider, wgrid[0])));
+    EXPECT_EQ(report_key(cfg, expand_grid(cfg)[0]),
+              report_key(wider, expand_grid(wider)[0]));
 }
 
 // ---- warm reruns ------------------------------------------------------------
@@ -159,20 +138,18 @@ TEST(CacheKey, IndependentOfGridShape) {
 TEST(ScenarioCache, WarmRerunIsAllHitsAndBitIdentical) {
     const scratch_dir dir("warm");
     auto cfg = small_campaign();
-    cfg.cache_dir = dir.path.string();
+    cfg.stage_store_dir = dir.path.string();
 
     const auto cold = campaign_runner(cfg).run();
-    EXPECT_EQ(cold.cache_hits, 0u);
-    EXPECT_EQ(cold.cache_misses, cold.scenario_count());
-    // One entry file per scenario.
-    std::size_t entries = 0;
-    for (const auto& e : fs::directory_iterator(dir.path))
-        entries += e.path().extension() == ".json";
-    EXPECT_EQ(entries, cold.scenario_count());
+    EXPECT_EQ(cold.store_hits, 0u);
+    // One report entry per scenario.
+    EXPECT_EQ(report_entries(dir.path).size(), cold.scenario_count());
 
     const auto warm = campaign_runner(cfg).run();
-    EXPECT_EQ(warm.cache_hits, warm.scenario_count());
-    EXPECT_EQ(warm.cache_misses, 0u);
+    EXPECT_EQ(warm.store_hits, warm.scenario_count())
+        << "one report entry per scenario, no stage entry read";
+    EXPECT_EQ(warm.store_misses, 0u);
+    EXPECT_EQ(warm.stage_reuse_computes, 0u);
 
     export_options opt;
     opt.include_timing = false;
@@ -185,16 +162,11 @@ TEST(ScenarioCache, WarmRerunIsAllHitsAndBitIdentical) {
             EXPECT_EQ(warm.cell(p, f).runs, cold.cell(p, f).runs);
             EXPECT_EQ(warm.cell(p, f).flagged, cold.cell(p, f).flagged);
         }
-    // Reports round-tripped bit-exactly through the cache files.
-    for (std::size_t i = 0; i < cold.results.size(); ++i) {
-        EXPECT_DOUBLE_EQ(warm.results[i].report.skew.d_hat,
-                         cold.results[i].report.skew.d_hat);
-        EXPECT_DOUBLE_EQ(warm.results[i].report.evm.evm_rms,
-                         cold.results[i].report.evm.evm_rms);
-        EXPECT_DOUBLE_EQ(warm.results[i].report.mask.worst_margin_db,
-                         cold.results[i].report.mask.worst_margin_db);
-    }
-    // The cached elapsed time is the grading cost, preserved on hits so
+    // Reports round-tripped bit-exactly through the entries.
+    for (std::size_t i = 0; i < cold.results.size(); ++i)
+        EXPECT_EQ(report_json(warm.results[i].report),
+                  report_json(cold.results[i].report));
+    // The stored elapsed time is the grading cost, preserved on hits so
     // scenario_cpu_s keeps reporting what the grid costs to compute.
     EXPECT_DOUBLE_EQ(warm.scenario_cpu_s, cold.scenario_cpu_s);
     EXPECT_GT(warm.scenario_cpu_s, 0.0);
@@ -204,46 +176,80 @@ TEST(ScenarioCache, OverlappingGridReusesEntries) {
     const scratch_dir dir("overlap");
     auto narrow = small_campaign();
     narrow.faults = {bist::fault_kind::none};
-    narrow.cache_dir = dir.path.string();
+    narrow.stage_store_dir = dir.path.string();
     const auto first = campaign_runner(narrow).run();
-    EXPECT_EQ(first.cache_misses, 1u);
+    EXPECT_EQ(report_entries(dir.path).size(), 1u);
 
     auto wide = small_campaign(); // adds pa-gain-drop at fault index 1
-    wide.cache_dir = dir.path.string();
+    wide.stage_store_dir = dir.path.string();
     const auto second = campaign_runner(wide).run();
-    EXPECT_EQ(second.cache_hits, 1u) << "the golden scenario was cached";
-    EXPECT_EQ(second.cache_misses, 1u) << "the fault scenario is new";
+    // The golden scenario was served by its report entry: it carries the
+    // first run's grading time instead of a fresh measurement.
+    EXPECT_EQ(second.results[0].elapsed_s, first.results[0].elapsed_s);
+    EXPECT_GE(second.store_hits, 1u);
+    EXPECT_EQ(report_entries(dir.path).size(), 2u)
+        << "the fault scenario is new";
+    EXPECT_EQ(report_json(second.results[0].report),
+              report_json(first.results[0].report));
+}
+
+TEST(StageStoreReport, PresetsDifferingOnlyByNameShareOneReportEntry) {
+    // The report key excludes the preset name, so a renamed copy of a
+    // preset is served from the original's entry — and every row still
+    // carries its own preset name.  A key built from grid coordinates
+    // (preset name included) could not share them.
+    const scratch_dir dir("renamed_preset");
+    campaign_config cfg = small_campaign();
+    cfg.faults = {bist::fault_kind::none};
+    auto renamed = cfg.presets[0];
+    renamed.name += "-copy";
+    cfg.presets.push_back(renamed);
+    cfg.reseed = reseed_policy::off; // equal seeds: only the name differs
+    cfg.threads = 1;
+    const auto off = campaign_runner(cfg).run();
+    ASSERT_EQ(off.scenario_count(), 2u);
+
+    cfg.stage_store_dir = dir.path.string();
+    const auto cold = campaign_runner(cfg).run();
+    EXPECT_EQ(report_entries(dir.path).size(), 1u);
+    const auto warm = campaign_runner(cfg).run();
+    EXPECT_EQ(warm.store_hits, 2u) << "both rows read the one entry";
+    EXPECT_EQ(warm.store_misses, 0u);
+
+    for (const auto* r : {&cold, &warm}) {
+        EXPECT_EQ(r->results[0].report.preset_name, "paper-qpsk-10M");
+        EXPECT_EQ(r->results[1].report.preset_name, "paper-qpsk-10M-copy");
+        EXPECT_EQ(timing_free(*r), timing_free(off));
+        for (std::size_t i = 0; i < off.results.size(); ++i)
+            EXPECT_EQ(report_json(r->results[i].report),
+                      report_json(off.results[i].report));
+    }
 }
 
 TEST(ScenarioCache, CorruptEntryIsReGraded) {
     const scratch_dir dir("corrupt");
     auto cfg = small_campaign();
-    cfg.cache_dir = dir.path.string();
+    cfg.stage_store_dir = dir.path.string();
     const auto cold = campaign_runner(cfg).run();
 
-    // Truncate/garble one entry; the runner must fall back to the engine.
-    fs::path victim;
-    for (const auto& e : fs::directory_iterator(dir.path))
-        if (e.path().extension() == ".json") {
-            victim = e.path();
-            break;
-        }
-    ASSERT_FALSE(victim.empty());
-    std::ofstream(victim, std::ios::trunc) << "{\"cache_version\":1,ga";
+    // Garble one report entry; the runner must fall back to the stages.
+    const auto entries = report_entries(dir.path);
+    ASSERT_FALSE(entries.empty());
+    std::ofstream(entries.front(), std::ios::trunc) << "{\"store_version\":1,ga";
 
     const auto warm = campaign_runner(cfg).run();
-    EXPECT_EQ(warm.cache_hits, warm.scenario_count() - 1);
-    EXPECT_EQ(warm.cache_misses, 1u);
-    export_options opt;
-    opt.include_timing = false;
-    EXPECT_EQ(to_json(warm, opt), to_json(cold, opt));
+    EXPECT_EQ(warm.quarantined, 1u);
+    EXPECT_EQ(warm.store_misses, 1u)
+        << "only the garbled report misses; its stages are all stored";
+    EXPECT_EQ(timing_free(warm), timing_free(cold));
     // And the re-grade healed the entry.
     const auto healed = campaign_runner(cfg).run();
-    EXPECT_EQ(healed.cache_hits, healed.scenario_count());
+    EXPECT_EQ(healed.store_hits, healed.scenario_count());
+    EXPECT_EQ(healed.store_misses, 0u);
 }
 
 TEST(ScenarioCache, DeterministicEngineErrorsAreCached) {
-    // A contract rejection reproduces on every run, so caching it is safe
+    // A contract rejection reproduces on every run, so storing it is safe
     // and keeps warm reruns of error-bearing grids all-hits.  (Transient
     // std::exceptions are deliberately NOT persisted — see campaign.cpp.)
     const scratch_dir dir("engine_error");
@@ -253,15 +259,15 @@ TEST(ScenarioCache, DeterministicEngineErrorsAreCached) {
     cfg.faults = {bist::fault_kind::none};
     cfg.trials = 1;
     cfg.threads = 1;
-    cfg.cache_dir = dir.path.string();
+    cfg.stage_store_dir = dir.path.string();
 
     const auto cold = campaign_runner(cfg).run();
     ASSERT_TRUE(cold.results[0].engine_error);
-    EXPECT_EQ(cold.cache_misses, 1u);
+    EXPECT_EQ(report_entries(dir.path).size(), 1u);
 
     const auto warm = campaign_runner(cfg).run();
-    EXPECT_EQ(warm.cache_hits, 1u);
-    EXPECT_EQ(warm.cache_misses, 0u);
+    EXPECT_EQ(warm.store_hits, 1u);
+    EXPECT_EQ(warm.store_misses, 0u);
     EXPECT_TRUE(warm.results[0].engine_error);
     EXPECT_EQ(warm.results[0].error, cold.results[0].error);
     EXPECT_TRUE(warm.results[0].flagged());
@@ -269,20 +275,27 @@ TEST(ScenarioCache, DeterministicEngineErrorsAreCached) {
 
 TEST(ScenarioCache, VersionSkewReadsAsMiss) {
     const scratch_dir dir("version");
-    const scenario_cache cache(dir.path.string());
-    EXPECT_FALSE(cache.load("0123456789abcdef").has_value());
+    stage_artefact_store store(dir.path.string());
+    const std::uint64_t key = 0x0123456789abcdefull;
+    EXPECT_FALSE(store.load_report(key).has_value());
 
     // A syntactically valid entry from a different format version.
-    std::ofstream(cache.path_for("0123456789abcdef"))
-        << R"({"cache_version":999,"key":"0123456789abcdef"})";
-    EXPECT_FALSE(cache.load("0123456789abcdef").has_value());
+    const fs::path path = dir.path / "0123456789abcdef-report.sab";
+    std::ofstream(path, std::ios::binary)
+        << R"({"store_version":999,"codec":1,"stage":"report",)"
+        << R"("digest":"0123456789abcdef","stage_canonical_version":1,)"
+        << R"("raw_bytes":0,"payload_bytes":0,"payload_fnv":"0"})" << "\n";
+    EXPECT_FALSE(store.load_report(key).has_value());
+    EXPECT_EQ(store.quarantined(), 0u) << "skew is not corruption";
+    EXPECT_TRUE(fs::exists(path)) << "skewed entries stay for cache-gc";
 }
 
 // ---- report round-trip ------------------------------------------------------
 
 TEST(ScenarioCache, ReportRoundTripsBitExactly) {
     // A real engine report (trace, mask segments, received symbols, all
-    // verdicts) survives JSON serialisation bit-for-bit.
+    // verdicts) survives JSON serialisation — and a report entry —
+    // bit-for-bit.
     auto cfg = small_campaign();
     cfg.faults = {bist::fault_kind::none};
     const auto result = campaign_runner(cfg).run();
@@ -329,10 +342,24 @@ TEST(ScenarioCache, ReportRoundTripsBitExactly) {
     EXPECT_EQ(back.acpr_pass, r.acpr_pass);
     EXPECT_DOUBLE_EQ(back.occupied_bw_hz, r.occupied_bw_hz);
     EXPECT_EQ(back.pass(), r.pass());
+
+    // Through a report entry: the whole payload, bit for bit.
+    const scratch_dir dir("report_roundtrip");
+    stage_artefact_store store(dir.path.string());
+    scenario_result row = result.results[0];
+    row.engine_error = true;
+    row.error = "kept verbatim";
+    store.store_report(0x5EEDull, row);
+    const auto loaded = store.load_report(0x5EEDull);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(report_json(loaded->report), report_json(r));
+    EXPECT_TRUE(loaded->engine_error);
+    EXPECT_EQ(loaded->error, "kept verbatim");
+    EXPECT_EQ(loaded->elapsed_s, row.elapsed_s);
 }
 
 TEST(ScenarioCache, RejectsUnwritableDirectory) {
-    EXPECT_THROW(scenario_cache(""), contract_violation);
+    EXPECT_THROW(stage_artefact_store(""), contract_violation);
 }
 
 } // namespace

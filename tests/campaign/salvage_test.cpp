@@ -1,14 +1,15 @@
 // Corrupt-input quarantine and the lenient merge: unreadable shard files
 // are moved aside (evidence preserved) instead of failing the merge,
 // inconsistent rows are dropped and counted, partially-covered grids
-// yield partial results, and the cache quarantines garbled entries while
-// the strict merge contract stays exactly as hard as before.
+// yield partial results, and the stage-artefact store quarantines garbled
+// report entries while the strict merge contract stays exactly as hard as
+// before.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 
-#include "campaign/cache.hpp"
+#include "campaign/artefact_store/artefact_store.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/export.hpp"
 #include "campaign/shard_io.hpp"
@@ -148,28 +149,33 @@ TEST(Salvage, CleanShardsSalvageIdenticallyToStrictMerge) {
 }
 
 TEST(Salvage, CacheQuarantinesGarbledEntries) {
+    // The store's report entries are the campaign's scenario result cache.
     const scratch_dir dir("cache_quarantine");
-    const scenario_cache cache(dir.file("cache"));
-    const std::string key = "00deadbeef00cafe";
+    stage_artefact_store store(dir.file("store"));
+    const std::uint64_t key = 0x00deadbeef00cafeull;
+    const auto report_path = [&](const std::string& hex) {
+        return fs::path(store.dir()) / (hex + "-report.sab");
+    };
 
-    std::ofstream(cache.path_for(key), std::ios::binary)
-        << "{\"cache_version\":1,ga";
-    EXPECT_FALSE(cache.load(key).has_value());
-    EXPECT_EQ(cache.quarantined(), 1u);
-    EXPECT_FALSE(fs::exists(cache.path_for(key)));
-    EXPECT_TRUE(
-        fs::exists(fs::path(cache.dir()) / "quarantine" / (key + ".json")));
+    std::ofstream(report_path("00deadbeef00cafe"), std::ios::binary)
+        << "{\"store_version\":1,ga";
+    EXPECT_FALSE(store.load_report(key).has_value());
+    EXPECT_EQ(store.quarantined(), 1u);
+    EXPECT_FALSE(fs::exists(report_path("00deadbeef00cafe")));
+    EXPECT_TRUE(fs::exists(fs::path(store.dir()) / "quarantine" /
+                           "00deadbeef00cafe-report.sab"));
 
     // Version skew is stale, not corrupt: cache-gc's business, no move.
-    const std::string skewed = "00deadbeef00cafd";
-    std::ofstream(cache.path_for(skewed), std::ios::binary)
-        << R"({"cache_version":999,"key":"00deadbeef00cafd"})";
-    EXPECT_FALSE(cache.load(skewed).has_value());
-    EXPECT_EQ(cache.quarantined(), 1u);
-    EXPECT_TRUE(fs::exists(cache.path_for(skewed)));
+    std::ofstream(report_path("00deadbeef00cafd"), std::ios::binary)
+        << R"({"store_version":999,"codec":1,"stage":"report",)"
+        << R"("digest":"00deadbeef00cafd","stage_canonical_version":1,)"
+        << R"("raw_bytes":0,"payload_bytes":0,"payload_fnv":"0"})" << "\n";
+    EXPECT_FALSE(store.load_report(0x00deadbeef00cafdull).has_value());
+    EXPECT_EQ(store.quarantined(), 1u);
+    EXPECT_TRUE(fs::exists(report_path("00deadbeef00cafd")));
 
     // The maintenance scan keeps working over the quarantine subdirectory.
-    const auto stats = scan_cache_dir(cache.dir());
+    const auto stats = scan_store_dir(store.dir());
     EXPECT_EQ(stats.stale, 1u);
 }
 

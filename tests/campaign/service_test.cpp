@@ -373,6 +373,146 @@ TEST(CampaignService, MismatchedGridIsRejectedAtHandshake) {
     EXPECT_EQ(report.result.results.size(), 4u);
 }
 
+// ---- hostile numbers in service frames ---------------------------------------
+
+/// Every count a peer sends is read with the checked accessors: a value
+/// that is out of range, negative or fractional is rejected, never cast.
+/// The last value of each list truncates to a number the peer would
+/// accept, so an unchecked cast would let it through.
+std::vector<std::string> hostile_numbers(const std::string& valid) {
+    return {"1e30", "-1", "2.5", valid + ".5"};
+}
+
+/// True when the coordinator refused the last frame: an error frame, or
+/// a dropped connection.
+bool coordinator_refused(tcp_socket& c) {
+    try {
+        return recv_message(c).at("type").as_string() == "error";
+    } catch (const std::exception&) {
+        return true; // connection dropped
+    }
+}
+
+TEST(CampaignService, HostileNumbersInWorkerFramesAreRejected) {
+    auto cfg = small_grid();
+    cfg.presets.resize(1);
+    cfg.faults.resize(1); // one scenario, one lease
+    service_config svc;
+    svc.lease_size = 1;
+    svc.heartbeat_s = 1.0;
+    coordinator coord(cfg, svc);
+    svc.port = coord.port();
+    auto served = std::async(std::launch::async, [&] { return coord.serve(); });
+    const std::string identity = campaign_identity(cfg);
+
+    const auto connect = [&] {
+        tcp_socket c = tcp_connect("127.0.0.1", svc.port);
+        c.set_recv_timeout(10.0);
+        return c;
+    };
+    const auto hello = [&](tcp_socket& c, const std::string& version) {
+        send_frame(c, R"({"type":"hello","protocol_version":)" + version +
+                          R"(,"identity":")" + identity + "\"}");
+    };
+
+    for (const std::string& v :
+         hostile_numbers(std::to_string(protocol_version))) {
+        SCOPED_TRACE("protocol_version " + v);
+        tcp_socket c = connect();
+        hello(c, v);
+        EXPECT_TRUE(coordinator_refused(c));
+    }
+
+    // Lease numbers: handshake honestly, take the lease, then beat with
+    // one hostile field.  The refused connection re-queues the lease.
+    for (const std::string field : {"lease", "generation"}) {
+        for (std::size_t k = 0; k < 4; ++k) {
+            tcp_socket c = connect();
+            hello(c, std::to_string(protocol_version));
+            ASSERT_EQ(recv_message(c).at("type").as_string(), "welcome");
+            json_value lease;
+            for (;;) { // the previous connection's re-queue may lag
+                send_frame(c, R"({"type":"request"})");
+                lease = recv_message(c);
+                if (lease.at("type").as_string() != "wait")
+                    break;
+                std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            }
+            ASSERT_EQ(lease.at("type").as_string(), "lease");
+            std::string numbers[] = {
+                std::to_string(lease.at("lease").as_size()),
+                std::to_string(lease.at("generation").as_u64())};
+            const std::size_t hostile = std::string(field) == "lease" ? 0 : 1;
+            numbers[hostile] = hostile_numbers(numbers[hostile])[k];
+            SCOPED_TRACE(std::string(field) + " " + numbers[hostile]);
+            send_frame(c, R"({"type":"heartbeat","lease":)" + numbers[0] +
+                              R"(,"generation":)" + numbers[1] + "}");
+            EXPECT_TRUE(coordinator_refused(c));
+        }
+    }
+
+    // The coordinator survives every refusal and serves an honest worker.
+    const worker_report wr = run_worker(cfg, svc);
+    const service_report report = served.get();
+    EXPECT_EQ(wr.leases, 1u);
+    EXPECT_EQ(report.result.results.size(), 1u);
+}
+
+TEST(CampaignService, HostileNumbersInLeaseFramesAreRejectedByTheWorker) {
+    auto cfg = small_grid();
+    cfg.presets.resize(1);
+    cfg.faults.resize(1);
+    cfg.trials = 2; // grid rows 0 and 1, one lease [0, 2)
+    const std::vector<std::pair<std::string, std::string>> fields = {
+        {"lease", "0"}, {"generation", "1"}, {"begin", "0"}, {"end", "2"}};
+
+    for (const auto& [field, valid] : fields) {
+        for (const std::string& v : hostile_numbers(valid)) {
+            SCOPED_TRACE(field + " " + v);
+            tcp_listener listener("127.0.0.1", 0);
+            service_config svc;
+            svc.port = listener.port();
+            // A fake coordinator: welcome, one lease with the hostile
+            // field, then "done" for further requests and "ok" for
+            // anything else, until the worker hangs up.
+            std::thread fake([&listener, &fields, field = field, v = v] {
+                tcp_socket s = listener.accept(/*timeout_s=*/10.0);
+                if (!s.valid())
+                    return;
+                s.set_recv_timeout(10.0);
+                bool leased = false;
+                try {
+                    for (;;) {
+                        const std::string type =
+                            recv_message(s).at("type").as_string();
+                        if (type == "hello") {
+                            send_frame(
+                                s, R"({"type":"welcome","protocol_version":1,)"
+                                   R"("grid_size":2,"lease_count":1,)"
+                                   R"("heartbeat_s":1})");
+                        } else if (type == "request" && !leased) {
+                            leased = true;
+                            std::string frame = R"({"type":"lease")";
+                            for (const auto& [name, good] : fields)
+                                frame += ",\"" + name +
+                                         "\":" + (name == field ? v : good);
+                            send_frame(s, frame + "}");
+                        } else if (type == "request") {
+                            send_frame(s, R"({"type":"done"})");
+                        } else {
+                            send_frame(s, R"({"type":"ok"})");
+                        }
+                    }
+                } catch (const std::exception&) {
+                    // The worker hung up.
+                }
+            });
+            EXPECT_THROW(run_worker(cfg, svc), contract_violation);
+            fake.join();
+        }
+    }
+}
+
 // ---- satellite regression: atomic shard-file publication --------------------
 
 campaign_result synthetic_result(std::size_t rows) {

@@ -10,7 +10,7 @@
 #include <filesystem>
 #include <limits>
 
-#include "campaign/cache.hpp"
+#include "campaign/artefact_store/stage_codec.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/export.hpp"
 #include "campaign/shard_io.hpp"
@@ -36,8 +36,8 @@ campaign_result synthetic_shard(std::size_t index, std::size_t count) {
     shard.grid_size = 4;
     shard.threads_used = 3;
     shard.wall_s = 1.25 + static_cast<double>(index);
-    shard.cache_hits = 1 + index;
-    shard.cache_misses = 2;
+    shard.store_hits = 1 + index;
+    shard.store_misses = 2;
     shard.stage_reuse_hits = 5 + index;
     shard.stage_reuse_computes = 3;
 
@@ -109,7 +109,7 @@ TEST(ShardIo, RoundTripIsLossless) {
     EXPECT_EQ(back.seed, shard.seed);
     EXPECT_EQ(back.shard_index, shard.shard_index);
     EXPECT_EQ(back.grid_size, shard.grid_size);
-    EXPECT_EQ(back.cache_hits, shard.cache_hits);
+    EXPECT_EQ(back.store_hits, shard.store_hits);
     EXPECT_EQ(back.stage_reuse_hits, shard.stage_reuse_hits);
     ASSERT_EQ(back.results.size(), shard.results.size());
     for (std::size_t i = 0; i < back.results.size(); ++i) {
@@ -179,7 +179,7 @@ TEST(ShardIo, HostileCountsFailLoudly) {
     // reject the file instead of truncating.  "count" is the first
     // telemetry category's span count.
     const std::string text = result_to_json(synthetic_shard(0, 2));
-    for (const std::string field : {"trials", "grid_size", "cache_hits",
+    for (const std::string field : {"trials", "grid_size", "store_hits",
                                     "index", "attempts", "count"}) {
         for (const std::string value : {"1e30", "-1", "2.5"}) {
             std::string bad = text;

@@ -197,13 +197,13 @@ TEST(ShardMerge, MergedMeasuredFieldsCombineConservatively) {
     s1.wall_s = 2.5;
     s0.threads_used = 4;
     s1.threads_used = 8;
-    s0.cache_hits = 1;
-    s1.cache_misses = 2;
+    s0.store_hits = 1;
+    s1.store_misses = 2;
     const auto merged = merge_results({s0, s1});
     EXPECT_DOUBLE_EQ(merged.wall_s, 4.0);
     EXPECT_EQ(merged.threads_used, 8u);
-    EXPECT_EQ(merged.cache_hits, 1u);
-    EXPECT_EQ(merged.cache_misses, 2u);
+    EXPECT_EQ(merged.store_hits, 1u);
+    EXPECT_EQ(merged.store_misses, 2u);
 }
 
 } // namespace

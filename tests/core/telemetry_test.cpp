@@ -33,9 +33,9 @@ TEST_F(Telemetry, OffByDefaultProbesAreInert) {
     EXPECT_FALSE(tm::active());
     EXPECT_FALSE(tm::tracing());
     {
-        const tm::scoped_span span(tm::category::cache, "noop");
-        tm::count(tm::counter::cache_hits);
-        tm::count_max(tm::counter::pool_queue_high_water, 42);
+        const tm::scoped_span span(tm::category::store, "noop");
+        tm::count(tm::counter::store_hits);
+        tm::count_max(tm::counter::sched_queue_high_water, 42);
     }
     for (const auto v : tm::counters())
         EXPECT_EQ(v, 0u);
@@ -48,18 +48,18 @@ TEST_F(Telemetry, CountersAccumulateAndReset) {
     EXPECT_TRUE(tm::active());
     EXPECT_FALSE(tm::tracing());
 
-    tm::count(tm::counter::cache_hits);
-    tm::count(tm::counter::cache_hits, 2);
+    tm::count(tm::counter::store_hits);
+    tm::count(tm::counter::store_hits, 2);
     tm::count(tm::counter::stage_adopts, 7);
-    tm::count_max(tm::counter::pool_queue_high_water, 5);
-    tm::count_max(tm::counter::pool_queue_high_water, 3); // below: no-op
+    tm::count_max(tm::counter::sched_queue_high_water, 5);
+    tm::count_max(tm::counter::sched_queue_high_water, 3); // below: no-op
 
     const auto counts = tm::counters();
-    EXPECT_EQ(counts[static_cast<std::size_t>(tm::counter::cache_hits)], 3u);
+    EXPECT_EQ(counts[static_cast<std::size_t>(tm::counter::store_hits)], 3u);
     EXPECT_EQ(counts[static_cast<std::size_t>(tm::counter::stage_adopts)],
               7u);
     EXPECT_EQ(counts[static_cast<std::size_t>(
-                  tm::counter::pool_queue_high_water)],
+                  tm::counter::sched_queue_high_water)],
               5u);
 
     tm::reset();
@@ -70,16 +70,16 @@ TEST_F(Telemetry, CountersAccumulateAndReset) {
 TEST_F(Telemetry, SpansFoldIntoCategoryAggregates) {
     tm::enable();
     for (int i = 0; i < 3; ++i) {
-        const tm::scoped_span span(tm::category::cache, "load");
+        const tm::scoped_span span(tm::category::store, "load");
         std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
     const auto s = tm::snapshot();
-    const auto& cache = s.of(tm::category::cache);
-    EXPECT_EQ(cache.count, 3u);
-    EXPECT_GT(cache.total_ns, 0u);
-    EXPECT_GE(cache.total_ns, cache.max_ns);
-    EXPECT_DOUBLE_EQ(cache.mean_ns(),
-                     static_cast<double>(cache.total_ns) / 3.0);
+    const auto& store = s.of(tm::category::store);
+    EXPECT_EQ(store.count, 3u);
+    EXPECT_GT(store.total_ns, 0u);
+    EXPECT_GE(store.total_ns, store.max_ns);
+    EXPECT_DOUBLE_EQ(store.mean_ns(),
+                     static_cast<double>(store.total_ns) / 3.0);
     EXPECT_EQ(s.of(tm::category::shard).count, 0u);
     EXPECT_FALSE(s.empty());
 }
@@ -87,12 +87,12 @@ TEST_F(Telemetry, SpansFoldIntoCategoryAggregates) {
 TEST_F(Telemetry, IdleSpansFeedThePoolIdleCounter) {
     tm::enable();
     {
-        const tm::scoped_span idle(tm::category::idle, "pool.idle");
+        const tm::scoped_span idle(tm::category::idle, "sched.idle");
         std::this_thread::sleep_for(std::chrono::microseconds(500));
     }
     const auto s = tm::snapshot();
     EXPECT_EQ(
-        tm::counters()[static_cast<std::size_t>(tm::counter::pool_idle_ns)],
+        tm::counters()[static_cast<std::size_t>(tm::counter::sched_idle_ns)],
         s.of(tm::category::idle).total_ns);
     EXPECT_GT(s.of(tm::category::idle).total_ns, 0u);
 }
@@ -121,17 +121,17 @@ TEST_F(Telemetry, SummaryMergeAndWindowArithmetic) {
 
 TEST_F(Telemetry, SummaryCsvListsEveryCategory) {
     tm::summary s;
-    s.categories[static_cast<std::size_t>(tm::category::cache)] = {2, 10, 6};
+    s.categories[static_cast<std::size_t>(tm::category::store)] = {2, 10, 6};
     const std::string csv = tm::summary_csv(s);
     const auto rows = campaign::parse_csv(csv);
     ASSERT_EQ(rows.size(), 1u + tm::category_count);
     EXPECT_EQ(rows[0][0], "category");
-    const auto cache_row =
-        rows[1 + static_cast<std::size_t>(tm::category::cache)];
-    EXPECT_EQ(cache_row[0], "cache");
-    EXPECT_EQ(cache_row[1], "2");
-    EXPECT_EQ(cache_row[2], "10");
-    EXPECT_EQ(cache_row[4], "6");
+    const auto store_row =
+        rows[1 + static_cast<std::size_t>(tm::category::store)];
+    EXPECT_EQ(store_row[0], "store");
+    EXPECT_EQ(store_row[1], "2");
+    EXPECT_EQ(store_row[2], "10");
+    EXPECT_EQ(store_row[4], "6");
 }
 
 TEST_F(Telemetry, ConcurrentCountsAreExact) {
@@ -143,13 +143,13 @@ TEST_F(Telemetry, ConcurrentCountsAreExact) {
     for (int t = 0; t < threads; ++t)
         workers.emplace_back([] {
             for (int i = 0; i < per_thread; ++i) {
-                tm::count(tm::counter::pool_tasks);
+                tm::count(tm::counter::sched_tasks);
                 const tm::scoped_span span(tm::category::worker, "work");
             }
         });
     for (auto& w : workers)
         w.join();
-    EXPECT_EQ(tm::counters()[static_cast<std::size_t>(tm::counter::pool_tasks)],
+    EXPECT_EQ(tm::counters()[static_cast<std::size_t>(tm::counter::sched_tasks)],
               static_cast<std::uint64_t>(threads) * per_thread);
     EXPECT_EQ(tm::snapshot().of(tm::category::worker).count,
               static_cast<std::uint64_t>(threads) * per_thread);
@@ -163,7 +163,7 @@ TEST_F(Telemetry, ChromeTraceExportIsWellFormed) {
         const tm::scoped_span outer(tm::category::scenario, "scenario", 7);
         std::this_thread::sleep_for(std::chrono::microseconds(300));
         {
-            const tm::scoped_span inner(tm::category::cache, "cache.load");
+            const tm::scoped_span inner(tm::category::store, "store.load");
             std::this_thread::sleep_for(std::chrono::microseconds(100));
         }
     }
@@ -205,7 +205,7 @@ TEST_F(Telemetry, ChromeTraceExportIsWellFormed) {
             continue;
         if (e.at("name").as_string() == "scenario")
             outer = &e;
-        else if (e.at("name").as_string() == "cache.load")
+        else if (e.at("name").as_string() == "store.load")
             inner = &e;
     }
     ASSERT_NE(outer, nullptr);
