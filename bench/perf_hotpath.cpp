@@ -13,6 +13,11 @@
 //    dqpsk-1M reconstruction: 155,031 dense samples, 6,745 taps, D = 131),
 //    reported as ns per input sample.
 //
+//  * EVM — measure_evm (tabulated SRRC matched filter) against
+//    measure_evm_reference (closed-form SRRC per tap) on the reconstructed
+//    envelope of the catalogue preset with the most matched-filter taps
+//    per timing trial (tactical-bpsk-2M: 23 envelope samples per symbol).
+//
 // Emits one BENCH_JSON line per kernel with ns/point for both paths, the
 // speedup, and the max relative error of the fast path (normalised to the
 // reference RMS).  Run with --quick for CI smoke timing.
@@ -25,6 +30,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "bist/pipeline.hpp"
 #include "core/random.hpp"
 #include "core/stats.hpp"
 #include "core/units.hpp"
@@ -33,6 +39,9 @@
 #include "rf/passband.hpp"
 #include "sampling/band.hpp"
 #include "sampling/pnbs.hpp"
+#include "waveform/evm.hpp"
+#include "waveform/srrc.hpp"
+#include "waveform/standard.hpp"
 
 namespace {
 
@@ -218,6 +227,60 @@ void bench_ddc(int reps) {
               << ")\n";
 }
 
+/// EVM meter at the catalogue shape with the most matched-filter taps per
+/// timing trial: the tactical-bpsk-2M envelope as the pipeline reconstructs
+/// it (fault-free device).
+void bench_evm(int reps) {
+    bist::bist_config cfg;
+    cfg.tiadc.quant.full_scale = 2.0;
+    cfg.preset = waveform::find_preset("tactical-bpsk-2M");
+    bist::bist_session session(cfg);
+    session.run_until(bist::stage::reconstruction);
+    const auto& env = session.reconstruction().envelope;
+    const auto& stimulus = session.stimulus().stimulus;
+    waveform::evm_options opt;
+    opt.envelope_t0 = env.t0;
+    const std::span<const std::complex<double>> samples(env.samples.data(),
+                                                        env.samples.size());
+
+    waveform::evm_result fast, ref;
+    const double s_fast = best_seconds(
+        [&] { fast = waveform::measure_evm(samples, env.rate, stimulus, opt); },
+        reps);
+    const double s_ref = best_seconds(
+        [&] {
+            ref = waveform::measure_evm_reference(samples, env.rate, stimulus,
+                                                  opt);
+        },
+        reps);
+    const double err = std::abs(fast.evm_rms - ref.evm_rms) / ref.evm_rms;
+    const double samples_per_symbol = env.rate / stimulus.symbol_rate;
+
+    benchutil::json_record rec;
+    rec.add("kernel", std::string("evm"));
+    rec.add("preset", cfg.preset.name);
+    rec.add("envelope_samples", env.samples.size());
+    rec.add("samples_per_symbol", samples_per_symbol);
+    rec.add("graded_symbols", ref.received_symbols.size());
+    rec.add("table_bytes",
+            waveform::srrc_table::shared(stimulus.rolloff,
+                                         waveform::evm_matched_span_symbols)
+                ->bytes());
+    rec.add("ref_ms", 1e3 * s_ref);
+    rec.add("fast_ms", 1e3 * s_fast);
+    rec.add("speedup", s_ref / s_fast);
+    rec.add("max_rel_error", err);
+    rec.add("timing_offset_equal",
+            std::size_t{fast.timing_offset == ref.timing_offset ? 1u : 0u});
+    benchutil::emit_bench_json("perf_hotpath", rec);
+
+    std::cout << "evm: " << 1e3 * s_ref << " -> " << 1e3 * s_fast
+              << " ms per measurement  (x" << s_ref / s_fast
+              << ", rel EVM deviation " << err << ", "
+              << ref.received_symbols.size() << " symbols at "
+              << samples_per_symbol << " samples/symbol)\n";
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
@@ -231,5 +294,6 @@ int main(int argc, char** argv) {
     bench_pnbs_uniform(n_points, reps);
     bench_sinc_capture(n_points, reps);
     bench_ddc(reps);
+    bench_evm(reps);
     return 0;
 }

@@ -59,8 +59,9 @@ inline constexpr int canonical_config_version = 1;
 /// changes for an unchanged slice, so stored artefacts of the old
 /// computation are never served again.  Version 2: the table-driven PNBS
 /// kernel changed calibration and reconstruction outputs in their last
-/// bits.
-inline constexpr int stage_canonical_version = 2;
+/// bits.  Version 3: the tabulated SRRC matched filter of the EVM meter
+/// changed graded EVM (and so the stored reports) in its last bits.
+inline constexpr int stage_canonical_version = 3;
 
 /// Canonical text of the configuration subset stage `s` consumes directly
 /// (upstream fields are covered by the upstream stages' slices).

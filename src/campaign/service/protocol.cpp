@@ -36,6 +36,15 @@ void set_timeout(int fd, int which, double seconds) {
     ::setsockopt(fd, SOL_SOCKET, which, &tv, sizeof(tv));
 }
 
+/// Send small frames at once.  Every exchange is a request answered by a
+/// response, each written as a length prefix and then a payload; under
+/// Nagle's algorithm the payload waits for the peer's ACK of the prefix,
+/// which the peer delays (about 40 ms on Linux), so each message stalled.
+void disable_nagle(int fd) {
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 sockaddr_in make_addr(const std::string& host, std::uint16_t port) {
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
@@ -108,6 +117,7 @@ tcp_socket tcp_connect(const std::string& host, std::uint16_t port) {
     if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                   sizeof(addr)) != 0)
         throw_errno("cannot connect to " + host + ":" + std::to_string(port));
+    disable_nagle(fd);
     return sock;
 }
 
@@ -144,6 +154,7 @@ tcp_socket tcp_listener::accept(double timeout_s) {
     if (client < 0)
         return tcp_socket{}; // timeout, EINTR or closed: caller decides
     tcp_socket sock(client);
+    disable_nagle(client);
 #if defined(SO_NOSIGPIPE)
     const int one = 1;
     ::setsockopt(client, SOL_SOCKET, SO_NOSIGPIPE, &one, sizeof(one));

@@ -93,6 +93,17 @@ TEST(CacheKey, KernelChangeInvalidatesVersionOneKeysAndDigests) {
             << bist::to_string(s);
 }
 
+TEST(CacheKey, EvmTableChangeInvalidatesVersionTwoReportKey) {
+    // The grading digest (the report key) of the same scenario as
+    // stage_canonical_version 2 computed it, before the tabulated SRRC
+    // matched filter moved graded EVM in its last bits.  Reports stored
+    // under it hold the old EVM: none may be found again.
+    const auto cfg = small_campaign();
+    const auto grid = expand_grid(cfg);
+    constexpr std::uint64_t v2_report_key = 0x7ace50009f276cabull;
+    EXPECT_NE(report_key(cfg, grid[0]), v2_report_key);
+}
+
 TEST(CacheKey, MovesWithGridCoordinatesAndConfig) {
     auto cfg = small_campaign();
     cfg.trials = 2;

@@ -17,6 +17,8 @@
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #endif
 
@@ -210,6 +212,27 @@ TEST(ServiceProtocol, FrameRoundTripOverLoopback) {
     const std::string reply = client.get();
     EXPECT_EQ(reply.size(), big.size() + 11);
 }
+
+#if defined(__unix__) || defined(__APPLE__)
+TEST(ServiceProtocol, ConnectedSocketsSendWithoutNagleDelay) {
+    // Every exchange is a small request answered by a small response, each
+    // written as a length prefix and then a payload.  Under Nagle's
+    // algorithm the payload waits for the ACK of the prefix, which the
+    // peer delays (about 40 ms on Linux): both ends must turn it off.
+    auto no_delay = [](const tcp_socket& s) {
+        int v = 0;
+        socklen_t len = sizeof(v);
+        EXPECT_EQ(::getsockopt(s.fd(), IPPROTO_TCP, TCP_NODELAY, &v, &len), 0);
+        return v != 0;
+    };
+    tcp_listener listener("127.0.0.1", 0);
+    tcp_socket client = tcp_connect("127.0.0.1", listener.port());
+    tcp_socket server = listener.accept(5.0);
+    ASSERT_TRUE(server.valid());
+    EXPECT_TRUE(no_delay(client));
+    EXPECT_TRUE(no_delay(server));
+}
+#endif
 
 TEST(ServiceProtocol, PeerDeathIsTransientOversizeIsContract) {
     tcp_listener listener("127.0.0.1", 0);
