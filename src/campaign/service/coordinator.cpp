@@ -20,6 +20,11 @@ namespace sdrbist::campaign::service {
 
 namespace {
 
+/// Longest a request that cannot be granted is held before it is answered
+/// `wait`: well inside the worker's recv bound (at least 5 s), and short
+/// enough that a held handler whose worker died notices within a second.
+constexpr double max_hold_s = 1.0;
+
 std::string simple_msg(const char* type) {
     json_object_writer o;
     o.string_field("type", type);
@@ -74,8 +79,12 @@ struct coordinator::impl {
             .count();
     }
 
+    /// The grid is complete: stop the reaper, and shut the listener down
+    /// (without closing it, so no fd is reused while accept() reads it)
+    /// to wake the accept loop at once.
     void finish() {
         done.store(true, std::memory_order_release);
+        listener.shutdown();
         reaper_cv.notify_all();
     }
 
@@ -154,11 +163,11 @@ struct coordinator::impl {
                 }
 
                 if (type == "request") {
-                    if (done.load(std::memory_order_acquire)) {
-                        send_frame(sock, simple_msg("done"));
-                        continue; // the worker disconnects; recv EOFs us out
-                    }
-                    if (const auto g = ledger.grant(owner, now_s())) {
+                    // Held until a lease frees or the grid completes, so
+                    // neither end polls.
+                    if (const auto g = ledger.await_grant(
+                            owner, [this] { return now_s(); },
+                            max_hold_s)) {
                         json_object_writer o;
                         o.string_field("type", "lease");
                         o.size_field("lease", g->lease);
@@ -168,11 +177,11 @@ struct coordinator::impl {
                         o.size_field("end", g->range.end);
                         send_frame(sock, o.str());
                     } else if (ledger.all_complete()) {
+                        // The worker disconnects; recv EOFs us out.
                         send_frame(sock, simple_msg("done"));
                     } else {
-                        // Everything still outstanding is granted
-                        // elsewhere; the worker naps and asks again (it
-                        // may inherit a re-queued lease).
+                        // The hold ran out with everything outstanding
+                        // granted elsewhere; the worker asks again at once.
                         send_frame(sock, simple_msg("wait"));
                     }
                     continue;
@@ -222,8 +231,7 @@ struct coordinator::impl {
                             lease_results[lease] = std::move(r);
                         }
                         if (ledger.all_complete())
-                            finish(); // the accept loop re-checks within
-                                      // its timeout and stops
+                            finish();
 
                         send_frame(sock, simple_msg("ok"));
                     } else {
@@ -263,16 +271,17 @@ service_report coordinator::serve(const run_hooks& hooks) {
     std::thread reaper([&im] { im.reap(); });
     std::vector<std::thread> handlers;
     while (!im.done.load(std::memory_order_acquire)) {
-        tcp_socket sock = im.listener.accept(/*timeout_s=*/0.2);
+        tcp_socket sock = im.listener.accept(/*timeout_s=*/0.0);
         if (!sock.valid())
-            continue; // accept timeout or listener closed; re-check done
+            continue; // finish() shut the listener down; re-check done
         handlers.emplace_back(
             [&im, &hooks, s = std::move(sock)]() mutable {
                 im.handle(std::move(s), hooks);
             });
     }
     // Drain: handlers exit when their worker disconnects after "done" (or
-    // on their bounded recv timeout); the reaper wakes on finish().
+    // on their bounded recv timeout); held requests are answered "done"
+    // by the last completion; the reaper wakes on finish().
     for (std::thread& t : handlers)
         t.join();
     reaper.join();

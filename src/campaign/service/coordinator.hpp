@@ -21,7 +21,13 @@
 ///
 /// Threading: one accept loop (inside `serve()`), one detached-joinable
 /// handler thread per connection, one reaper thread re-queueing lapsed
-/// leases.  All lease state lives in the internally-locked ledger.
+/// leases.  All lease state lives in the internally-locked ledger.  A
+/// handler whose `request` finds nothing to grant holds it on the
+/// ledger's condition variable (`lease_ledger::await_grant`, at most
+/// 1 s): a dropped connection's or the reaper's
+/// re-queue answers it `lease`, the last completion `done`, and only an
+/// expired hold `wait`.  The last completion also shuts the listener
+/// down, so the accept loop wakes at once instead of on a timeout.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
 #include "campaign/service/lease_ledger.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 #include "core/contracts.hpp"
 #include "core/telemetry.hpp"
@@ -26,6 +27,24 @@ lease_range lease_ledger::range_of(std::size_t lease) const {
 std::optional<lease_grant> lease_ledger::grant(std::uint64_t owner,
                                                double now_s) {
     const std::lock_guard<std::mutex> lock(mu_);
+    return grant_locked(owner, now_s);
+}
+
+std::optional<lease_grant> lease_ledger::await_grant(
+    std::uint64_t owner, const std::function<double()>& now_s,
+    double max_hold_s) {
+    SDRBIST_EXPECTS(max_hold_s >= 0.0);
+    std::unique_lock<std::mutex> lock(mu_);
+    grantable_.wait_for(lock, std::chrono::duration<double>(max_hold_s), [&] {
+        return completed_ == entries_.size() ||
+               std::any_of(entries_.begin(), entries_.end(),
+                           [](const entry& e) { return e.st == state::queued; });
+    });
+    return grant_locked(owner, now_s());
+}
+
+std::optional<lease_grant> lease_ledger::grant_locked(std::uint64_t owner,
+                                                      double now_s) {
     for (std::size_t k = 0; k < entries_.size(); ++k) {
         entry& e = entries_[k];
         if (e.st != state::queued)
@@ -66,6 +85,8 @@ bool lease_ledger::complete(std::size_t lease, std::uint64_t generation) {
     entries_[lease].st = state::completed;
     ++completed_;
     ++stats_.completed;
+    if (completed_ == entries_.size())
+        grantable_.notify_all();
     return true;
 }
 
@@ -80,6 +101,8 @@ std::size_t lease_ledger::requeue_lapsed(double now_s, double timeout_s) {
         ++stats_.requeues;
         telemetry::count(telemetry::counter::service_requeues);
     }
+    if (lapsed > 0)
+        grantable_.notify_all();
     return lapsed;
 }
 
@@ -94,6 +117,8 @@ std::size_t lease_ledger::requeue_owner(std::uint64_t owner) {
         ++stats_.requeues;
         telemetry::count(telemetry::counter::service_requeues);
     }
+    if (orphaned > 0)
+        grantable_.notify_all();
     return orphaned;
 }
 

@@ -14,7 +14,11 @@
 /// "wins" is about accounting, not correctness.
 ///
 /// Time is passed in by the caller (seconds on any monotonic scale), so
-/// lifecycle unit tests drive lapses synthetically.
+/// lifecycle unit tests drive lapses synthetically.  The one real-time
+/// wait is `await_grant`'s bounded hold: a request that finds nothing
+/// queued sleeps on the ledger's own condition variable, which every
+/// transition that can answer it (a re-queue, the last completion)
+/// signals under the same mutex, so no wake-up is lost.
 ///
 /// Counter ≡ result: the `service.leases` / `service.requeues` /
 /// `service.heartbeats` telemetry counters are bumped at the exact state
@@ -22,7 +26,9 @@
 /// asserted equal.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <vector>
@@ -57,8 +63,18 @@ public:
 
     /// Grant the next queued lease to `owner` (any id unique per
     /// connection).  nullopt when nothing is queued — which means either
-    /// all done, or every remaining lease is granted elsewhere ("wait").
+    /// all done, or every remaining lease is granted elsewhere.
     std::optional<lease_grant> grant(std::uint64_t owner, double now_s);
+
+    /// `grant`, but when nothing is queued and the grid is not complete,
+    /// hold for up to `max_hold_s` seconds of real time until a lease is
+    /// re-queued (granted at once, stamped `now_s()`) or the last lease
+    /// completes.  nullopt then means `all_complete()` ("done") or the
+    /// hold ran out with every remaining lease granted elsewhere
+    /// ("wait": the worker asks again at once).
+    std::optional<lease_grant> await_grant(
+        std::uint64_t owner, const std::function<double()>& now_s,
+        double max_hold_s);
 
     /// Record life on a grant (heartbeat frame or streamed row).  False
     /// when the (lease, generation) pair is stale — re-queued or already
@@ -89,8 +105,13 @@ private:
 
     [[nodiscard]] bool current_locked(std::size_t lease,
                                       std::uint64_t generation) const;
+    std::optional<lease_grant> grant_locked(std::uint64_t owner,
+                                            double now_s);
 
     mutable std::mutex mu_;
+    /// Signalled (under mu_) when a lease is re-queued or the last one
+    /// completes: the two events that answer a held request.
+    std::condition_variable grantable_;
     std::vector<lease_range> ranges_;
     std::vector<entry> entries_;
     std::size_t completed_ = 0;

@@ -162,9 +162,14 @@ tcp_socket tcp_listener::accept(double timeout_s) {
     return sock;
 }
 
+void tcp_listener::shutdown() {
+    if (fd_ >= 0)
+        ::shutdown(fd_, SHUT_RDWR);
+}
+
 void tcp_listener::close() {
     if (fd_ >= 0) {
-        ::shutdown(fd_, SHUT_RDWR);
+        shutdown();
         ::close(fd_);
         fd_ = -1;
     }
@@ -219,6 +224,7 @@ tcp_listener::tcp_listener(const std::string&, std::uint16_t) {
 }
 tcp_listener::~tcp_listener() = default;
 tcp_socket tcp_listener::accept(double) { unsupported(); }
+void tcp_listener::shutdown() {}
 void tcp_listener::close() {}
 void send_frame(tcp_socket&, std::string) { unsupported(); }
 std::string recv_frame(tcp_socket&) { unsupported(); }

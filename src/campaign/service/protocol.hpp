@@ -8,7 +8,13 @@
 /// `parse_json` pair the exporters use — no new dependencies).  One
 /// persistent connection per worker, strictly request → response, so the
 /// coordinator never pushes unsolicited frames and a worker can serialise
-/// its heartbeat thread and row streaming behind one mutex.  Both ends
+/// its heartbeat thread and row streaming behind one mutex.  Messages:
+/// worker `hello` → `welcome` (or `error`); `request` → `lease`, `done`
+/// or `wait`; `heartbeat` / `row` / `complete` → `ok` or `stale`.  A
+/// `request` nothing can answer yet is held by the coordinator until a
+/// lease is re-queued (→ `lease`) or the grid completes (→ `done`); only
+/// when a bounded hold (at most 1 s) runs out is it answered `wait`, and
+/// the worker asks again at once — neither end sleeps on a poll.  Both ends
 /// set TCP_NODELAY: with Nagle's algorithm on, a frame's payload waited
 /// for the peer's delayed ACK of its length prefix, about 40 ms a message.
 ///
@@ -38,8 +44,10 @@
 
 namespace sdrbist::campaign::service {
 
-/// Handshake-checked protocol revision.
-inline constexpr int protocol_version = 1;
+/// Handshake-checked protocol revision, checked by both ends.  Version 2
+/// holds requests; a v2 worker, which re-asks on `wait` without sleeping,
+/// would spin against a v1 coordinator that answers `wait` at once.
+inline constexpr int protocol_version = 2;
 
 /// Upper bound on one frame's payload.  A larger length prefix is a
 /// protocol violation, not an allocation request.
@@ -95,11 +103,16 @@ public:
     [[nodiscard]] std::uint16_t port() const { return port_; }
 
     /// Accept one connection, waiting at most `timeout_s` (0 = forever).
-    /// Returns an invalid socket on timeout or after close() — the
-    /// caller's loop decides whether to keep waiting.
+    /// Returns an invalid socket on timeout or after shutdown()/close() —
+    /// the caller's loop decides whether to keep waiting.
     tcp_socket accept(double timeout_s);
 
-    /// Shut the listener down; a concurrently blocked accept() unblocks.
+    /// Stop listening: a concurrently blocked accept() returns at once
+    /// and later ones fail immediately.  The fd stays open (no other
+    /// thread can be handed it while accept() reads it) until close().
+    void shutdown();
+
+    /// shutdown() and release the fd.
     void close();
 
 private:

@@ -95,6 +95,14 @@ worker_report run_worker(campaign_config grid, const service_config& svc) {
             throw contract_violation("coordinator rejected this worker: " +
                                      welcome.at("what").as_string());
         SDRBIST_EXPECTS(welcome.at("type").as_string() == "welcome");
+        // A v1 coordinator answers `wait` without holding the request,
+        // and this worker re-asks at once: refuse rather than spin.
+        const std::size_t version = welcome.at("protocol_version").as_size();
+        if (version != static_cast<std::size_t>(protocol_version))
+            throw contract_violation(
+                "coordinator speaks service protocol version " +
+                std::to_string(version) + ", this worker " +
+                std::to_string(protocol_version));
         cadence.heartbeat_s = welcome.at("heartbeat_s").as_number();
         SDRBIST_EXPECTS(cadence.heartbeat_s > 0.0);
         sock.set_recv_timeout(std::max(2.0 * cadence.timeout(), 5.0));
@@ -109,11 +117,8 @@ worker_report run_worker(campaign_config grid, const service_config& svc) {
         const std::string type = reply.at("type").as_string();
         if (type == "done")
             break;
-        if (type == "wait") {
-            std::this_thread::sleep_for(std::chrono::duration<double>(
-                std::clamp(cadence.heartbeat_s / 2.0, 0.05, 0.5)));
-            continue;
-        }
+        if (type == "wait")
+            continue; // the coordinator held the request; ask again at once
         if (type == "error")
             throw contract_violation("coordinator error: " +
                                      reply.at("what").as_string());

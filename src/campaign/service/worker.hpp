@@ -3,11 +3,15 @@
 ///
 /// `campaign_runner --worker HOST:PORT` wraps `run_worker()`.  The worker
 /// connects (retrying while the coordinator comes up), handshakes with
-/// its `campaign_identity()` digest, then loops: request a lease, grade
-/// the slice with a plain `campaign_runner` (the `lease` filter on
-/// `campaign_config`), stream every finished row back through the
-/// `scenario_row_json` codec, and post the per-lease `campaign_result`
-/// as `complete`.  While a lease computes, a sidecar thread heartbeats
+/// its `campaign_identity()` digest (refusing a coordinator of another
+/// `protocol_version`), then loops: request a lease, grade the slice with
+/// a plain `campaign_runner` (the `lease` filter on `campaign_config`),
+/// stream every finished row back through the `scenario_row_json` codec,
+/// and post the per-lease `campaign_result` as `complete`.  A request
+/// with nothing to grant is held by the coordinator until a lease frees
+/// or the grid completes; a `wait` reply (the bounded hold ran out) is
+/// answered by asking again at once, so the worker never sleeps on a
+/// poll.  While a lease computes, a sidecar thread heartbeats
 /// at the cadence the `welcome` frame dictates (the coordinator's
 /// `heartbeat_s` — its re-queue timeout derives from it, so the two can
 /// never disagree); both the beats and the row frames share one

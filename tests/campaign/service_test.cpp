@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <future>
 #include <thread>
 #include <vector>
@@ -191,6 +192,83 @@ TEST(LeaseLedger, TelemetryCountersMirrorStatsExactly) {
               stats.heartbeats);
 }
 
+/// A request that finds nothing queued is held on the ledger, not
+/// refused: the re-queue (either path) that frees a lease wakes it and
+/// grants that lease, stamped with the clock read at grant time.
+TEST(LeaseLedger, AwaitGrantIsAnsweredByTheRequeue) {
+    using clock = std::chrono::steady_clock;
+    for (const bool lapse : {false, true}) {
+        SCOPED_TRACE(lapse ? "heartbeats lapse" : "owner's connection dies");
+        lease_ledger ledger(2, 2); // single lease
+        const auto g1 = ledger.grant(/*owner=*/1, 0.0);
+        ASSERT_TRUE(g1.has_value());
+        std::thread frees([&] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            if (lapse)
+                ledger.requeue_lapsed(/*now_s=*/10.0, /*timeout_s=*/3.0);
+            else
+                ledger.requeue_owner(1);
+        });
+        const auto t0 = clock::now();
+        const auto g2 = ledger.await_grant(
+            /*owner=*/2, [] { return 20.0; }, /*max_hold_s=*/30.0);
+        const double held_s =
+            std::chrono::duration<double>(clock::now() - t0).count();
+        frees.join();
+        ASSERT_TRUE(g2.has_value());
+        EXPECT_EQ(g2->lease, g1->lease);
+        EXPECT_EQ(g2->generation, g1->generation + 1);
+        EXPECT_LT(held_s, 15.0); // woken by the event, not the hold bound
+        // Stamped at grant time (20.0): alive at 22.9, lapsed at 23.1.
+        EXPECT_EQ(ledger.requeue_lapsed(22.9, 3.0), 0u);
+        EXPECT_EQ(ledger.requeue_lapsed(23.1, 3.0), 1u);
+    }
+}
+
+TEST(LeaseLedger, AwaitGrantAnswersDoneOnTheLastCompletion) {
+    lease_ledger ledger(2, 2);
+    const auto g = ledger.grant(1, 0.0);
+    ASSERT_TRUE(g.has_value());
+    std::thread completes([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        ledger.complete(g->lease, g->generation);
+    });
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto none = ledger.await_grant(2, [] { return 1.0; }, 30.0);
+    const double held_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+    completes.join();
+    EXPECT_FALSE(none.has_value());
+    EXPECT_TRUE(ledger.all_complete());
+    EXPECT_LT(held_s, 15.0);
+    // Once complete, a request is answered without holding.
+    EXPECT_FALSE(ledger.await_grant(3, [] { return 2.0; }, 30.0));
+}
+
+TEST(LeaseLedger, AwaitGrantGrantsAtOnceAndExpiresEmptyHanded) {
+    lease_ledger ledger(4, 2);
+    // A queued lease is granted without holding.
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto g = ledger.await_grant(1, [] { return 5.0; }, 30.0);
+    const auto h = ledger.await_grant(2, [] { return 5.0; }, 30.0);
+    EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            t0)
+                  .count(),
+              15.0);
+    ASSERT_TRUE(g && h);
+    EXPECT_EQ(g->lease, 0u);
+    EXPECT_EQ(h->lease, 1u);
+    // Both granted elsewhere and nothing frees: the hold runs out and
+    // the answer is "wait" (nullopt while not complete).
+    EXPECT_FALSE(ledger.await_grant(3, [] { return 6.0; }, 0.0));
+    EXPECT_FALSE(ledger.await_grant(3, [] { return 6.0; }, 0.02));
+    EXPECT_FALSE(ledger.all_complete());
+    const ledger_stats stats = ledger.stats();
+    EXPECT_EQ(stats.leases, 2u);
+    EXPECT_EQ(stats.requeues, 0u);
+}
+
 // ---- protocol framing -------------------------------------------------------
 
 TEST(ServiceProtocol, FrameRoundTripOverLoopback) {
@@ -283,6 +361,29 @@ TEST(ServiceLease, ContiguousLeasePartitionMergesBitIdentically) {
 
 // ---- end-to-end: coordinator + workers over loopback ------------------------
 
+/// A raw client that has passed the hello handshake.
+tcp_socket raw_client(std::uint16_t port, const campaign_config& cfg) {
+    tcp_socket c = tcp_connect("127.0.0.1", port);
+    c.set_recv_timeout(10.0);
+    json_object_writer hello;
+    hello.string_field("type", "hello");
+    hello.size_field("protocol_version",
+                     static_cast<std::size_t>(protocol_version));
+    hello.string_field("identity", campaign_identity(cfg));
+    send_frame(c, hello.str());
+    EXPECT_EQ(recv_message(c).at("type").as_string(), "welcome");
+    return c;
+}
+
+std::string complete_msg(const json_value& lease, const campaign_result& r) {
+    json_object_writer o;
+    o.string_field("type", "complete");
+    o.size_field("lease", lease.at("lease").as_size());
+    o.size_field("generation", lease.at("generation").as_size());
+    o.field("result", result_to_json(r));
+    return o.str();
+}
+
 TEST(CampaignService, TwoWorkersMatchSingleProcessBitIdentically) {
     const auto cfg = small_grid();
     const auto reference = campaign_runner(cfg).run();
@@ -336,14 +437,7 @@ TEST(CampaignService, DeadWorkerMidLeaseIsRequeuedBitIdentically) {
 
     {
         // Saboteur: handshake, take one lease, drop dead mid-lease.
-        tcp_socket c = tcp_connect("127.0.0.1", svc.port);
-        json_object_writer hello;
-        hello.string_field("type", "hello");
-        hello.size_field("protocol_version",
-                         static_cast<std::size_t>(protocol_version));
-        hello.string_field("identity", campaign_identity(cfg));
-        send_frame(c, hello.str());
-        ASSERT_EQ(recv_message(c).at("type").as_string(), "welcome");
+        tcp_socket c = raw_client(svc.port, cfg);
         send_frame(c, R"({"type":"request"})");
         const json_value lease = recv_message(c);
         ASSERT_EQ(lease.at("type").as_string(), "lease");
@@ -375,6 +469,70 @@ TEST(CampaignService, DeadWorkerMidLeaseIsRequeuedBitIdentically) {
     EXPECT_EQ(counter_at(after, tm::counter::service_heartbeats) -
                   counter_at(before, tm::counter::service_heartbeats),
               report.leases.heartbeats);
+}
+
+/// A request the coordinator cannot grant is held, and the event answers
+/// it: the holder's connection dying re-queues the only lease, which goes
+/// to the held request at generation 2; the holder completing it answers
+/// the held request `done`.  Neither end polls, so B sends one request.
+TEST(CampaignService, HeldRequestIsAnsweredWhenALeaseFrees) {
+    auto cfg = small_grid();
+    cfg.presets.resize(1);
+    cfg.faults.resize(1); // one scenario, one lease
+    const campaign_result whole = campaign_runner(cfg).run();
+
+    for (const bool a_completes : {false, true}) {
+        SCOPED_TRACE(a_completes ? "A completes" : "A disconnects");
+        service_config svc;
+        svc.lease_size = 1;
+        svc.heartbeat_s = 10.0; // the reaper (30 s timeout) stays out
+        coordinator coord(cfg, svc);
+        auto served =
+            std::async(std::launch::async, [&] { return coord.serve(); });
+
+        tcp_socket a = raw_client(coord.port(), cfg);
+        send_frame(a, R"({"type":"request"})");
+        const json_value lease = recv_message(a);
+        ASSERT_EQ(lease.at("type").as_string(), "lease");
+        EXPECT_EQ(lease.at("generation").as_u64(), 1u);
+
+        tcp_socket b = raw_client(coord.port(), cfg);
+        send_frame(b, R"({"type":"request"})");
+        // Let B's request reach the coordinator and be held.
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        if (a_completes) {
+            send_frame(a, complete_msg(lease, whole));
+            EXPECT_EQ(recv_message(a).at("type").as_string(), "ok");
+        } else {
+            a.close(); // SIGKILL equivalent: EOF with the lease outstanding
+        }
+
+        json_value reply = recv_message(b);
+        EXPECT_NE(reply.at("type").as_string(), "wait")
+            << "the request was answered at once, not held for the event";
+        while (reply.at("type").as_string() == "wait") {
+            // Keep a polling coordinator's grid moving, so the regression
+            // fails this test instead of hanging serve().
+            send_frame(b, R"({"type":"request"})");
+            reply = recv_message(b);
+        }
+        if (a_completes) {
+            EXPECT_EQ(reply.at("type").as_string(), "done");
+        } else {
+            ASSERT_EQ(reply.at("type").as_string(), "lease");
+            EXPECT_EQ(reply.at("lease").as_size(), 0u);
+            EXPECT_EQ(reply.at("generation").as_u64(), 2u);
+            send_frame(b, complete_msg(reply, whole));
+            EXPECT_EQ(recv_message(b).at("type").as_string(), "ok");
+        }
+        a.close();
+        b.close();
+
+        const service_report report = served.get();
+        EXPECT_EQ(fingerprint(report.result), fingerprint(whole));
+        EXPECT_EQ(report.leases.leases, a_completes ? 1u : 2u);
+        EXPECT_EQ(report.leases.requeues, a_completes ? 0u : 1u);
+    }
 }
 
 TEST(CampaignService, MismatchedGridIsRejectedAtHandshake) {
@@ -453,14 +611,9 @@ TEST(CampaignService, HostileNumbersInWorkerFramesAreRejected) {
             tcp_socket c = connect();
             hello(c, std::to_string(protocol_version));
             ASSERT_EQ(recv_message(c).at("type").as_string(), "welcome");
-            json_value lease;
-            for (;;) { // the previous connection's re-queue may lag
-                send_frame(c, R"({"type":"request"})");
-                lease = recv_message(c);
-                if (lease.at("type").as_string() != "wait")
-                    break;
-                std::this_thread::sleep_for(std::chrono::milliseconds(20));
-            }
+            // Held until the previous connection's lease is re-queued.
+            send_frame(c, R"({"type":"request"})");
+            const json_value lease = recv_message(c);
             ASSERT_EQ(lease.at("type").as_string(), "lease");
             std::string numbers[] = {
                 std::to_string(lease.at("lease").as_size()),
@@ -481,11 +634,51 @@ TEST(CampaignService, HostileNumbersInWorkerFramesAreRejected) {
     EXPECT_EQ(report.result.results.size(), 1u);
 }
 
-TEST(CampaignService, HostileNumbersInLeaseFramesAreRejectedByTheWorker) {
+/// A fake coordinator on `listener`: answers hello with `welcome`, the
+/// first request with `lease`, later requests with "done" and anything
+/// else with "ok", until the worker hangs up.
+void fake_coordinator(tcp_listener& listener, const std::string& welcome,
+                      const std::string& lease) {
+    tcp_socket s = listener.accept(/*timeout_s=*/10.0);
+    if (!s.valid())
+        return;
+    s.set_recv_timeout(10.0);
+    bool leased = false;
+    try {
+        for (;;) {
+            const std::string type = recv_message(s).at("type").as_string();
+            if (type == "hello") {
+                send_frame(s, welcome);
+            } else if (type == "request" && !leased) {
+                leased = true;
+                send_frame(s, lease);
+            } else if (type == "request") {
+                send_frame(s, R"({"type":"done"})");
+            } else {
+                send_frame(s, R"({"type":"ok"})");
+            }
+        }
+    } catch (const std::exception&) {
+        // The worker hung up.
+    }
+}
+
+std::string welcome_frame(const std::string& version) {
+    return R"({"type":"welcome","protocol_version":)" + version +
+           R"(,"grid_size":2,"lease_count":1,"heartbeat_s":1})";
+}
+
+/// The grid of the fake coordinator's frames: rows 0 and 1, one lease.
+campaign_config two_row_grid() {
     auto cfg = small_grid();
     cfg.presets.resize(1);
     cfg.faults.resize(1);
-    cfg.trials = 2; // grid rows 0 and 1, one lease [0, 2)
+    cfg.trials = 2;
+    return cfg;
+}
+
+TEST(CampaignService, HostileNumbersInLeaseFramesAreRejectedByTheWorker) {
+    const auto cfg = two_row_grid();
     const std::vector<std::pair<std::string, std::string>> fields = {
         {"lease", "0"}, {"generation", "1"}, {"begin", "0"}, {"end", "2"}};
 
@@ -495,44 +688,33 @@ TEST(CampaignService, HostileNumbersInLeaseFramesAreRejectedByTheWorker) {
             tcp_listener listener("127.0.0.1", 0);
             service_config svc;
             svc.port = listener.port();
-            // A fake coordinator: welcome, one lease with the hostile
-            // field, then "done" for further requests and "ok" for
-            // anything else, until the worker hangs up.
-            std::thread fake([&listener, &fields, field = field, v = v] {
-                tcp_socket s = listener.accept(/*timeout_s=*/10.0);
-                if (!s.valid())
-                    return;
-                s.set_recv_timeout(10.0);
-                bool leased = false;
-                try {
-                    for (;;) {
-                        const std::string type =
-                            recv_message(s).at("type").as_string();
-                        if (type == "hello") {
-                            send_frame(
-                                s, R"({"type":"welcome","protocol_version":1,)"
-                                   R"("grid_size":2,"lease_count":1,)"
-                                   R"("heartbeat_s":1})");
-                        } else if (type == "request" && !leased) {
-                            leased = true;
-                            std::string frame = R"({"type":"lease")";
-                            for (const auto& [name, good] : fields)
-                                frame += ",\"" + name +
-                                         "\":" + (name == field ? v : good);
-                            send_frame(s, frame + "}");
-                        } else if (type == "request") {
-                            send_frame(s, R"({"type":"done"})");
-                        } else {
-                            send_frame(s, R"({"type":"ok"})");
-                        }
-                    }
-                } catch (const std::exception&) {
-                    // The worker hung up.
-                }
-            });
+            std::string lease = R"({"type":"lease")";
+            for (const auto& [name, good] : fields)
+                lease += ",\"" + name + "\":" + (name == field ? v : good);
+            std::thread fake(fake_coordinator, std::ref(listener),
+                             welcome_frame(std::to_string(protocol_version)),
+                             lease + "}");
             EXPECT_THROW(run_worker(cfg, svc), contract_violation);
             fake.join();
         }
+    }
+}
+
+/// A v1 coordinator answers `wait` without holding the request, and a
+/// v2 worker re-asks at once: the worker must refuse the pairing at the
+/// handshake, and read the version with the checked accessor.
+TEST(CampaignService, WorkerRefusesACoordinatorOfAnotherProtocolVersion) {
+    const auto cfg = two_row_grid();
+    for (const std::string v : {"1", "1e30", "-1", "2.5"}) {
+        SCOPED_TRACE("protocol_version " + v);
+        tcp_listener listener("127.0.0.1", 0);
+        service_config svc;
+        svc.port = listener.port();
+        std::thread fake(
+            fake_coordinator, std::ref(listener), welcome_frame(v),
+            R"({"type":"lease","lease":0,"generation":1,"begin":0,"end":2})");
+        EXPECT_THROW(run_worker(cfg, svc), contract_violation);
+        fake.join();
     }
 }
 
